@@ -30,6 +30,7 @@ use parallax_core::{get_runner, ParallaxConfig};
 use parallax_models::data::ZipfCorpus;
 use parallax_models::lm::{LmConfig, LmModel};
 use parallax_tensor::{ops, DetRng, Tensor};
+use parallax_trace::json::Value;
 
 /// Machines in the executed topology (1 GPU each, matching `repro
 /// check`, so ring hops cross real machine boundaries).
@@ -280,70 +281,62 @@ fn measure_lstm(reps: usize) -> Vec<LstmRow> {
 
 /// Renders the three sections as a JSON document.
 pub fn to_json(wires: &[WireRow], indices: &[IndexRow], lstms: &[LstmRow], reps: usize) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"reps\": {reps},");
-    let _ = writeln!(
-        out,
-        "  \"gates\": {{\"dense_reduction\": {DENSE_REDUCTION_GATE}, \
-         \"index_shrink\": {INDEX_SHRINK_GATE}, \
-         \"fused_speedup\": {FUSED_SPEEDUP_GATE}}},"
-    );
     let base = wires
         .iter()
         .find(|w| w.format == "f32")
         .map(|w| (w.nccl_bytes, w.mpi_bytes))
         .unwrap_or((0, 0));
-    out.push_str("  \"wire\": [\n");
-    for (i, r) in wires.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"format\": \"{}\", \"nccl_bytes\": {}, \"mpi_bytes\": {}, \
-             \"dense_reduction\": {:.3}, \"sparse_reduction\": {:.3}, \
-             \"predicted_exact\": {}}}{}",
-            r.format,
-            r.nccl_bytes,
-            r.mpi_bytes,
-            base.0 as f64 / r.nccl_bytes.max(1) as f64,
-            base.1 as f64 / r.mpi_bytes.max(1) as f64,
-            r.predicted_exact,
-            if i + 1 < wires.len() { "," } else { "" },
-        );
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"sparse_index\": [\n");
-    for (i, r) in indices.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"alpha\": {}, \"count\": {}, \"raw_bytes\": {}, \
-             \"encoded_bytes\": {}, \"shrink\": {:.3}}}{}",
-            r.alpha,
-            r.count,
-            r.raw_bytes,
-            r.encoded_bytes,
-            r.shrink(),
-            if i + 1 < indices.len() { "," } else { "" },
-        );
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"fused_lstm\": [\n");
-    for (i, r) in lstms.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"name\": \"{}\", \"batch\": {}, \"in_dim\": {}, \"hidden\": {}, \
-             \"unfused_secs\": {:.9}, \"fused_secs\": {:.9}, \"speedup\": {:.3}}}{}",
-            r.name,
-            r.batch,
-            r.in_dim,
-            r.hidden,
-            r.unfused_secs,
-            r.fused_secs,
-            r.speedup(),
-            if i + 1 < lstms.len() { "," } else { "" },
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let wire = wires.iter().map(|r| {
+        Value::object([
+            ("format", r.format.into()),
+            ("nccl_bytes", r.nccl_bytes.into()),
+            ("mpi_bytes", r.mpi_bytes.into()),
+            (
+                "dense_reduction",
+                Value::fixed(base.0 as f64 / r.nccl_bytes.max(1) as f64, 3),
+            ),
+            (
+                "sparse_reduction",
+                Value::fixed(base.1 as f64 / r.mpi_bytes.max(1) as f64, 3),
+            ),
+            ("predicted_exact", r.predicted_exact.into()),
+        ])
+    });
+    let sparse_index = indices.iter().map(|r| {
+        Value::object([
+            ("alpha", r.alpha.into()),
+            ("count", r.count.into()),
+            ("raw_bytes", r.raw_bytes.into()),
+            ("encoded_bytes", r.encoded_bytes.into()),
+            ("shrink", Value::fixed(r.shrink(), 3)),
+        ])
+    });
+    let fused_lstm = lstms.iter().map(|r| {
+        Value::object([
+            ("name", r.name.into()),
+            ("batch", r.batch.into()),
+            ("in_dim", r.in_dim.into()),
+            ("hidden", r.hidden.into()),
+            ("unfused_secs", Value::fixed(r.unfused_secs, 9)),
+            ("fused_secs", Value::fixed(r.fused_secs, 9)),
+            ("speedup", Value::fixed(r.speedup(), 3)),
+        ])
+    });
+    let doc = Value::object([
+        ("reps", reps.into()),
+        (
+            "gates",
+            Value::object([
+                ("dense_reduction", DENSE_REDUCTION_GATE.into()),
+                ("index_shrink", INDEX_SHRINK_GATE.into()),
+                ("fused_speedup", FUSED_SPEEDUP_GATE.into()),
+            ]),
+        ),
+        ("wire", wire.collect()),
+        ("sparse_index", sparse_index.collect()),
+        ("fused_lstm", fused_lstm.collect()),
+    ]);
+    format!("{doc:#}\n")
 }
 
 /// Runs everything, writes `path`, and returns the printable report

@@ -9,11 +9,11 @@
 //! whichever happened to run during a quiet window.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use parallax_tensor::ops::{self, matmul::naive};
 use parallax_tensor::{pool, DetRng, IndexedSlices, Tensor};
+use parallax_trace::json::Value;
 
 /// Interleaved best-of-`reps` timing of two closures.
 fn best_of_interleaved(
@@ -195,49 +195,43 @@ pub fn measure(reps: usize) -> (Vec<MatmulRow>, Vec<CoalesceRow>) {
 
 /// Renders the measurements as a JSON document.
 pub fn to_json(matmuls: &[MatmulRow], coalesces: &[CoalesceRow], reps: usize) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"reps\": {reps},");
-    let _ = writeln!(out, "  \"threads\": {},", pool::effective_threads());
-    out.push_str("  \"matmul\": [\n");
-    for (i, r) in matmuls.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"name\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \
-             \"naive_secs\": {:.9}, \"blocked_secs\": {:.9}, \
-             \"naive_gflops\": {:.3}, \"blocked_gflops\": {:.3}, \
-             \"speedup\": {:.3}}}{}",
-            r.name,
-            r.m,
-            r.k,
-            r.n,
-            r.naive_secs,
-            r.blocked_secs,
-            r.flops() / r.naive_secs / 1e9,
-            r.flops() / r.blocked_secs / 1e9,
-            r.speedup(),
-            if i + 1 < matmuls.len() { "," } else { "" },
-        );
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"coalesce\": [\n");
-    for (i, r) in coalesces.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"alpha\": {}, \"rows\": {}, \"cols\": {}, \"nnz\": {}, \
-             \"naive_secs\": {:.9}, \"sorted_secs\": {:.9}, \"speedup\": {:.3}}}{}",
-            r.alpha,
-            r.rows,
-            r.cols,
-            r.nnz,
-            r.naive_secs,
-            r.sorted_secs,
-            r.speedup(),
-            if i + 1 < coalesces.len() { "," } else { "" },
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let matmul = matmuls.iter().map(|r| {
+        Value::object([
+            ("name", r.name.into()),
+            ("m", r.m.into()),
+            ("k", r.k.into()),
+            ("n", r.n.into()),
+            ("naive_secs", Value::fixed(r.naive_secs, 9)),
+            ("blocked_secs", Value::fixed(r.blocked_secs, 9)),
+            (
+                "naive_gflops",
+                Value::fixed(r.flops() / r.naive_secs / 1e9, 3),
+            ),
+            (
+                "blocked_gflops",
+                Value::fixed(r.flops() / r.blocked_secs / 1e9, 3),
+            ),
+            ("speedup", Value::fixed(r.speedup(), 3)),
+        ])
+    });
+    let coalesce = coalesces.iter().map(|r| {
+        Value::object([
+            ("alpha", r.alpha.into()),
+            ("rows", r.rows.into()),
+            ("cols", r.cols.into()),
+            ("nnz", r.nnz.into()),
+            ("naive_secs", Value::fixed(r.naive_secs, 9)),
+            ("sorted_secs", Value::fixed(r.sorted_secs, 9)),
+            ("speedup", Value::fixed(r.speedup(), 3)),
+        ])
+    });
+    let doc = Value::object([
+        ("reps", reps.into()),
+        ("threads", pool::effective_threads().into()),
+        ("matmul", matmul.collect()),
+        ("coalesce", coalesce.collect()),
+    ]);
+    format!("{doc:#}\n")
 }
 
 /// Measures, writes `path`, and prints a human-readable summary.

@@ -40,7 +40,7 @@ use parallax_models::nmt::{NmtConfig, NmtModel};
 use parallax_serve::engine::ServeModel;
 use parallax_serve::{LmRequest, LmServe, NmtRequest, NmtServe, ServeConfig, ServeEngine};
 use parallax_tensor::{DetRng, Tensor};
-use parallax_trace::TraceConfig;
+use parallax_trace::{json, TraceConfig};
 
 /// Machines in the training topology (1 GPU each; PS placement, so the
 /// snapshot is assembled from PS shards over FetchShard).
@@ -377,45 +377,43 @@ fn bench_nmt() -> Result<ServingRow, String> {
 
 /// Renders the measurement rows as a JSON document.
 pub fn to_json(rows: &[ServingRow]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(
-        out,
-        "  \"gates\": {{\"snapshot_load_us\": {SNAPSHOT_LOAD_GATE_US}, \"bitwise_equal\": true}},"
-    );
-    let _ = writeln!(
-        out,
-        "  \"train\": {{\"machines\": {MACHINES}, \"iterations\": {TRAIN_ITERS}, \
-         \"publish_every\": {PUBLISH_EVERY}}},"
-    );
-    out.push_str("  \"models\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"model\": \"{}\", \"snapshot_step\": {}, \"snapshot_bytes\": {}, \
-             \"snapshot_vars\": {}, \"snapshot_load_us\": {}, \"bitwise_equal\": {}, \
-             \"requests\": {}, \"wall_secs\": {:.6}, \"qps\": {:.1}, \
-             \"p50_us\": {}, \"p99_us\": {}, \"hist_p50_us\": {}, \"hist_p99_us\": {}, \
-             \"mean_batch\": {:.2}}}{}",
-            r.model,
-            r.snapshot_step,
-            r.snapshot_bytes,
-            r.snapshot_vars,
-            r.load_us,
-            r.bitwise_equal,
-            r.requests,
-            r.wall_secs,
-            r.qps(),
-            r.p50_us,
-            r.p99_us,
-            r.hist_p50_us,
-            r.hist_p99_us,
-            r.mean_batch,
-            if i + 1 < rows.len() { "," } else { "" },
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let models = rows.iter().map(|r| {
+        json::Value::object([
+            ("model", r.model.into()),
+            ("snapshot_step", r.snapshot_step.into()),
+            ("snapshot_bytes", r.snapshot_bytes.into()),
+            ("snapshot_vars", r.snapshot_vars.into()),
+            ("snapshot_load_us", r.load_us.into()),
+            ("bitwise_equal", r.bitwise_equal.into()),
+            ("requests", r.requests.into()),
+            ("wall_secs", json::Value::fixed(r.wall_secs, 6)),
+            ("qps", json::Value::fixed(r.qps(), 1)),
+            ("p50_us", r.p50_us.into()),
+            ("p99_us", r.p99_us.into()),
+            ("hist_p50_us", r.hist_p50_us.into()),
+            ("hist_p99_us", r.hist_p99_us.into()),
+            ("mean_batch", json::Value::fixed(r.mean_batch, 2)),
+        ])
+    });
+    let doc = json::Value::object([
+        (
+            "gates",
+            json::Value::object([
+                ("snapshot_load_us", SNAPSHOT_LOAD_GATE_US.into()),
+                ("bitwise_equal", true.into()),
+            ]),
+        ),
+        (
+            "train",
+            json::Value::object([
+                ("machines", MACHINES.into()),
+                ("iterations", TRAIN_ITERS.into()),
+                ("publish_every", PUBLISH_EVERY.into()),
+            ]),
+        ),
+        ("models", models.collect()),
+    ]);
+    format!("{doc:#}\n")
 }
 
 /// Runs the bench for `model` (`lm`, `nmt`, or both when `None`),

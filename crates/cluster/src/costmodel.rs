@@ -18,6 +18,7 @@
 use std::collections::BTreeMap;
 
 use parallax_trace::export::{self_durations, COMPUTE_PHASE_SPANS};
+use parallax_trace::json::{self, Fields, Value};
 use parallax_trace::{HistogramSnapshot, SpanCat, TraceDump, SIM_LANE, UNTRACKED_MACHINE};
 
 use crate::hardware::CpuModel;
@@ -79,6 +80,9 @@ impl ComputeCost {
         }
     }
 }
+
+/// Schema tag of [`CalibrationProfile::to_json`] documents.
+const CALIBRATION_SCHEMA: &str = "parallax-calibration-v1";
 
 /// A measured calibration profile distilled from a trace dump: the
 /// per-machine and per-op timings a calibrated simulation starts from,
@@ -283,94 +287,69 @@ impl CalibrationProfile {
     /// histogram snapshots and per-op self times are observability
     /// extras, not simulation inputs, and are not serialized.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let arr = |v: &[f64]| -> String {
-            let items: Vec<String> = v.iter().map(|x| format!("{x}")).collect();
-            format!("[{}]", items.join(","))
-        };
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"schema\":\"parallax-calibration-v1\",\"machines\":{},\"iterations\":{}",
-            self.machines, self.iterations
-        );
-        for (key, v) in [
-            ("compute_per_iter", &self.compute_per_iter),
-            ("server_busy_per_iter", &self.server_busy_per_iter),
-            ("apply_per_iter", &self.apply_per_iter),
-            ("early_requests_per_iter", &self.early_requests_per_iter),
-            ("late_requests_per_iter", &self.late_requests_per_iter),
-            ("service_mean_s", &self.service_mean_s),
-        ] {
-            let _ = write!(out, ",\"{key}\":{}", arr(v));
-        }
-        let _ = write!(out, ",\"wait_mean_s\":{}}}", self.wait_mean_s);
-        out
+        Value::object([
+            ("schema", CALIBRATION_SCHEMA.into()),
+            ("machines", self.machines.into()),
+            ("iterations", self.iterations.into()),
+            ("compute_per_iter", self.compute_per_iter.clone().into()),
+            (
+                "server_busy_per_iter",
+                self.server_busy_per_iter.clone().into(),
+            ),
+            ("apply_per_iter", self.apply_per_iter.clone().into()),
+            (
+                "early_requests_per_iter",
+                self.early_requests_per_iter.clone().into(),
+            ),
+            (
+                "late_requests_per_iter",
+                self.late_requests_per_iter.clone().into(),
+            ),
+            ("service_mean_s", self.service_mean_s.clone().into()),
+            ("wait_mean_s", self.wait_mean_s.into()),
+        ])
+        .to_string()
     }
 
     /// Parses a profile serialized by [`CalibrationProfile::to_json`].
-    /// Every per-machine vector must have exactly `machines` entries.
+    /// Every field is required, unknown and duplicate keys are
+    /// rejected, every number must be finite, and every per-machine
+    /// vector must have exactly `machines` entries.
     pub fn from_json(text: &str) -> crate::Result<Self> {
-        let bad = |what: &str| crate::SpecError::Invalid(format!("calibration JSON: {what}"));
-        if !text.contains("\"schema\":\"parallax-calibration-v1\"") {
-            return Err(bad("missing schema parallax-calibration-v1"));
-        }
-        let machines = scan_number(text, "machines").ok_or_else(|| bad("missing machines"))?;
-        let machines = machines as usize;
-        let iterations =
-            scan_number(text, "iterations").ok_or_else(|| bad("missing iterations"))? as u64;
-        let vec_field = |key: &str| -> crate::Result<Vec<f64>> {
-            let v = scan_array(text, key).ok_or_else(|| bad(&format!("missing {key}")))?;
+        Self::read(text).map_err(|e| crate::SpecError::Invalid(format!("calibration JSON: {e}")))
+    }
+
+    fn read(text: &str) -> Result<Self, json::Error> {
+        let mut f = Fields::parse(text, CALIBRATION_SCHEMA)?;
+        let machines: usize = f.get("machines")?;
+        let iterations = f.get::<u64>("iterations")?.max(1);
+        let mut per_machine = |key: &str| -> Result<Vec<f64>, json::Error> {
+            let v: Vec<f64> = f.get(key)?;
             if v.len() != machines {
-                return Err(bad(&format!(
-                    "{key} has {} entries, expected {machines}",
-                    v.len()
-                )));
+                return Err(json::Error::Field {
+                    key: key.to_string(),
+                    reason: format!("{} entries, expected {machines}", v.len()),
+                });
             }
             Ok(v)
         };
-        Ok(CalibrationProfile {
+        let profile = CalibrationProfile {
             machines,
-            iterations: iterations.max(1),
-            compute_per_iter: vec_field("compute_per_iter")?,
-            server_busy_per_iter: vec_field("server_busy_per_iter")?,
-            apply_per_iter: vec_field("apply_per_iter")?,
-            early_requests_per_iter: vec_field("early_requests_per_iter")?,
-            late_requests_per_iter: vec_field("late_requests_per_iter")?,
-            service_mean_s: vec_field("service_mean_s")?,
-            wait_mean_s: scan_number(text, "wait_mean_s").unwrap_or(0.0),
+            iterations,
+            compute_per_iter: per_machine("compute_per_iter")?,
+            server_busy_per_iter: per_machine("server_busy_per_iter")?,
+            apply_per_iter: per_machine("apply_per_iter")?,
+            early_requests_per_iter: per_machine("early_requests_per_iter")?,
+            late_requests_per_iter: per_machine("late_requests_per_iter")?,
+            service_mean_s: per_machine("service_mean_s")?,
+            wait_mean_s: f.get("wait_mean_s")?,
             wait_hist: None,
             service_hist: None,
             op_self_s: BTreeMap::new(),
-        })
+        };
+        f.finish()?;
+        Ok(profile)
     }
-}
-
-/// Scans `"key":<number>` out of flat JSON text (the fixed
-/// `parallax-calibration-v1` schema; no nested objects share key names).
-fn scan_number(text: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let start = text.find(&pat)? + pat.len();
-    let rest = &text[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// Scans `"key":[n,n,...]` out of flat JSON text.
-fn scan_array(text: &str, key: &str) -> Option<Vec<f64>> {
-    let pat = format!("\"{key}\":");
-    let start = text.find(&pat)? + pat.len();
-    let rest = text[start..].trim_start().strip_prefix('[')?;
-    let body = &rest[..rest.find(']')?];
-    let mut out = Vec::new();
-    for item in body.split(',') {
-        let t = item.trim();
-        if t.is_empty() {
-            continue;
-        }
-        out.push(t.parse().ok()?);
-    }
-    Some(out)
 }
 
 #[cfg(test)]
@@ -618,6 +597,64 @@ mod tests {
                     \"service_mean_s\":[0,0],\"wait_mean_s\":0}";
         let err = CalibrationProfile::from_json(text).unwrap_err();
         assert!(err.to_string().contains("compute_per_iter"));
+    }
+
+    /// A valid hand-written two-machine profile.
+    const CAL: &str = "{\"schema\":\"parallax-calibration-v1\",\"machines\":2,\
+                       \"iterations\":1,\"compute_per_iter\":[0.1,0.2],\
+                       \"server_busy_per_iter\":[0,0],\"apply_per_iter\":[0,0],\
+                       \"early_requests_per_iter\":[0,0],\"late_requests_per_iter\":[0,0],\
+                       \"service_mean_s\":[0,0],\"wait_mean_s\":0.5}";
+
+    fn invalid(text: &str) -> bool {
+        matches!(
+            CalibrationProfile::from_json(text),
+            Err(crate::SpecError::Invalid(_))
+        )
+    }
+
+    #[test]
+    fn calibration_json_writes_non_finite_as_null_and_rejects_it() {
+        let mut cal = CalibrationProfile::from_json(CAL).unwrap();
+        cal.wait_mean_s = f64::NAN;
+        let text = cal.to_json();
+        assert!(text.contains("\"wait_mean_s\":null"), "{text}");
+        json::parse(&text).expect("well-formed JSON");
+        assert!(invalid(&text));
+        cal.wait_mean_s = 0.5;
+        cal.compute_per_iter[1] = f64::INFINITY;
+        assert!(invalid(&cal.to_json()));
+    }
+
+    #[test]
+    fn calibration_json_integers_are_exact() {
+        assert_eq!(CalibrationProfile::from_json(CAL).unwrap().machines, 2);
+        for bad in ["2.7", "2x", "-2", "2e0", "18446744073709551617"] {
+            let text = CAL.replace("\"machines\":2", &format!("\"machines\":{bad}"));
+            assert!(invalid(&text), "machines {bad} was accepted");
+        }
+    }
+
+    #[test]
+    fn calibration_json_keys_fail_closed() {
+        // Whitespace around ':' is accepted.
+        let spaced = CAL.replace("\"machines\":2", "\"machines\" : 2");
+        assert_eq!(CalibrationProfile::from_json(&spaced).unwrap().machines, 2);
+        // `wait_mean_s` is required, as `to_json` always writes it.
+        assert!(invalid(&CAL.replace(",\"wait_mean_s\":0.5", "")));
+        for (from, to) in [
+            // Duplicate key.
+            ("\"iterations\":1", "\"iterations\":1,\"iterations\":2"),
+            // Unknown key.
+            ("\"iterations\":1", "\"iterations\":1,\"iteration\":2"),
+            // The schema tag inside a nested object does not count.
+            (
+                "\"schema\":\"parallax-calibration-v1\"",
+                "\"schema\":\"other\",\"x\":{\"schema\":\"parallax-calibration-v1\"}",
+            ),
+        ] {
+            assert!(invalid(&CAL.replace(from, to)), "{to} was accepted");
+        }
     }
 
     #[test]

@@ -20,14 +20,13 @@
 //! randomness. Same inputs → same chosen plan and same
 //! [`SearchReport`], across runs and thread counts.
 
-use std::fmt::Write as _;
-
 use parallax_cluster::{
     CalibrationProfile, ClusterModel, IterationSim, Phase, SparseOpCost, Transport,
 };
 use parallax_dataflow::{Feed, Graph, NodeId, VarId};
 use parallax_ps::placement::SyncDecision;
 use parallax_ps::{PsTopology, VarPlacement};
+use parallax_trace::json::Value;
 
 use crate::config::ParallaxConfig;
 use crate::plancheck::{build_verified_plan, predict_iteration_traffic};
@@ -97,46 +96,33 @@ impl SearchReport {
 
     /// Renders the report as JSON (`parallax-plan-search-v1`).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\"schema\":\"parallax-plan-search-v1\"");
-        out.push_str(",\"fixed\":[");
-        for (i, s) in self.fixed.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"predicted_seconds\":{}}}",
-                s.name, s.predicted_seconds
-            );
-        }
-        let _ = write!(out, "],\"seed_strategy\":\"{}\"", self.seed_strategy);
-        out.push_str(",\"steps\":[");
-        for (i, s) in self.steps.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"var\":{},\"decision\":\"{}\",\"predicted_seconds\":{}}}",
-                s.var,
-                decision_label(&s.decision),
-                s.predicted_seconds
-            );
-        }
-        out.push_str("],\"decisions\":[");
-        for (i, d) in self.decisions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\"", decision_label(d));
-        }
-        let _ = write!(
-            out,
-            "],\"predicted_seconds\":{},\"evaluations\":{},\"calibrated\":{}}}",
-            self.predicted_seconds, self.evaluations, self.calibrated
-        );
-        out
+        let fixed = self.fixed.iter().map(|s| {
+            Value::object([
+                ("name", s.name.as_str().into()),
+                ("predicted_seconds", s.predicted_seconds.into()),
+            ])
+        });
+        let steps = self.steps.iter().map(|s| {
+            Value::object([
+                ("var", s.var.into()),
+                ("decision", decision_label(&s.decision).into()),
+                ("predicted_seconds", s.predicted_seconds.into()),
+            ])
+        });
+        Value::object([
+            ("schema", "parallax-plan-search-v1".into()),
+            ("fixed", fixed.collect()),
+            ("seed_strategy", self.seed_strategy.as_str().into()),
+            ("steps", steps.collect()),
+            (
+                "decisions",
+                self.decisions.iter().map(decision_label).collect(),
+            ),
+            ("predicted_seconds", self.predicted_seconds.into()),
+            ("evaluations", self.evaluations.into()),
+            ("calibrated", self.calibrated.into()),
+        ])
+        .to_string()
     }
 }
 
@@ -465,7 +451,7 @@ mod tests {
         )
         .unwrap();
         let json = report.to_json();
-        parallax_trace::export::validate_json(&json).expect("valid JSON");
+        parallax_trace::json::parse(&json).expect("valid JSON");
         assert!(json.contains("parallax-plan-search-v1"));
         assert!(json.contains("seed_strategy"));
     }

@@ -8,10 +8,11 @@
 //! Every process parses the same file and derives the same
 //! deterministic plan; the spec never carries the plan itself.
 //!
-//! The format is the same flat JSON the calibration profiles use
-//! (`parallax_cluster::costmodel`): scalar fields scanned by key, no
-//! external JSON dependency. Written by the launcher, read by
-//! `repro dist` roles.
+//! The format is one flat JSON object, written and read through
+//! [`parallax_trace::json`] like every other document in the workspace.
+//! Written by the launcher, read by `repro dist` roles.
+
+use parallax_trace::json::{self, Fields, Value};
 
 use crate::error::{NetError, Result};
 
@@ -180,164 +181,70 @@ impl ClusterSpec {
 
     /// Serializes the spec (flat JSON, one object).
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = write!(out, "{{\"schema\":\"{SCHEMA}\"");
-        for (key, val) in [
-            ("preset", &self.preset),
-            ("wire_format", &self.wire_format),
-            ("host", &self.host),
-            ("artifact_dir", &self.artifact_dir),
-            ("fault_spec", &self.fault_spec),
-            ("checkpoint", &self.checkpoint),
-            ("snapshot", &self.snapshot),
-        ] {
-            let _ = write!(out, ",\"{key}\":\"{}\"", escape(val));
-        }
-        for (key, val) in [
-            ("machines", self.machines as u64),
-            ("gpus_per_machine", self.gpus_per_machine as u64),
-            ("iterations", self.iterations as u64),
-            ("seed", self.seed),
-            ("recv_deadline_ms", self.recv_deadline_ms),
-            ("checkpoint_interval", self.checkpoint_interval as u64),
-            ("max_recoveries", self.max_recoveries as u64),
-            ("validate_protocol", self.validate_protocol as u64),
-        ] {
-            let _ = write!(out, ",\"{key}\":{val}");
-        }
-        let ports: Vec<String> = self.ports.iter().map(|p| p.to_string()).collect();
-        let _ = write!(out, ",\"ports\":[{}]}}", ports.join(","));
-        out
+        Value::object([
+            ("schema", SCHEMA.into()),
+            ("preset", self.preset.as_str().into()),
+            ("wire_format", self.wire_format.as_str().into()),
+            ("host", self.host.as_str().into()),
+            ("artifact_dir", self.artifact_dir.as_str().into()),
+            ("fault_spec", self.fault_spec.as_str().into()),
+            ("checkpoint", self.checkpoint.as_str().into()),
+            ("snapshot", self.snapshot.as_str().into()),
+            ("machines", self.machines.into()),
+            ("gpus_per_machine", self.gpus_per_machine.into()),
+            ("iterations", self.iterations.into()),
+            ("seed", self.seed.into()),
+            ("recv_deadline_ms", self.recv_deadline_ms.into()),
+            ("checkpoint_interval", self.checkpoint_interval.into()),
+            ("max_recoveries", self.max_recoveries.into()),
+            ("validate_protocol", self.validate_protocol.into()),
+            ("ports", self.ports.clone().into()),
+        ])
+        .to_string()
     }
 
     /// Parses a [`ClusterSpec::to_json`] document and validates it.
+    /// Fails closed: malformed JSON, a missing required field, an
+    /// unknown or duplicate key, or a value that is not exactly of its
+    /// field's type is a [`NetError::Spec`]. The string fields default
+    /// to empty (`host` to `127.0.0.1`) and `max_recoveries` to 1.
     pub fn from_json(text: &str) -> Result<ClusterSpec> {
-        let bad = |what: &str| NetError::Spec(what.to_string());
-        if scan_string(text, "schema").as_deref() != Some(SCHEMA) {
-            return Err(bad("missing schema parallax-cluster-v1"));
+        let spec = Self::read(text).map_err(|e| NetError::Spec(e.to_string()))?;
+        if spec.ports.contains(&0) {
+            return Err(NetError::Spec("port out of range".into()));
         }
-        let num = |key: &str| scan_number(text, key).ok_or_else(|| bad(&format!("missing {key}")));
-        let string = |key: &str| scan_string(text, key).unwrap_or_default();
-        let ports_f = scan_array(text, "ports").ok_or_else(|| bad("missing ports"))?;
-        let mut ports = Vec::with_capacity(ports_f.len());
-        for p in ports_f {
-            if !(1.0..=65535.0).contains(&p) || p.fract() != 0.0 {
-                return Err(bad("port out of range"));
-            }
-            ports.push(p as u16);
-        }
-        let spec = ClusterSpec {
-            preset: scan_string(text, "preset").ok_or_else(|| bad("missing preset"))?,
-            machines: num("machines")? as usize,
-            gpus_per_machine: num("gpus_per_machine")? as usize,
-            iterations: num("iterations")? as usize,
-            seed: num("seed")? as u64,
-            wire_format: string("wire_format"),
-            host: {
-                let h = string("host");
-                if h.is_empty() {
-                    "127.0.0.1".to_string()
-                } else {
-                    h
-                }
-            },
-            ports,
-            artifact_dir: string("artifact_dir"),
-            recv_deadline_ms: num("recv_deadline_ms")? as u64,
-            fault_spec: string("fault_spec"),
-            checkpoint: string("checkpoint"),
-            snapshot: string("snapshot"),
-            checkpoint_interval: num("checkpoint_interval")? as usize,
-            max_recoveries: scan_number(text, "max_recoveries").map_or(1, |v| v as usize),
-            validate_protocol: scan_flag(text, "validate_protocol")
-                .ok_or_else(|| bad("missing validate_protocol"))?,
-        };
         spec.validate()?;
         Ok(spec)
     }
-}
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            if let Some(n) = chars.next() {
-                out.push(n);
-            }
-        } else {
-            out.push(c);
-        }
+    fn read(text: &str) -> std::result::Result<ClusterSpec, json::Error> {
+        let mut f = Fields::parse(text, SCHEMA)?;
+        let host: String = f.get_or("host", String::new())?;
+        let spec = ClusterSpec {
+            preset: f.get("preset")?,
+            machines: f.get("machines")?,
+            gpus_per_machine: f.get("gpus_per_machine")?,
+            iterations: f.get("iterations")?,
+            seed: f.get("seed")?,
+            wire_format: f.get_or("wire_format", String::new())?,
+            host: if host.is_empty() {
+                "127.0.0.1".to_string()
+            } else {
+                host
+            },
+            ports: f.get("ports")?,
+            artifact_dir: f.get_or("artifact_dir", String::new())?,
+            recv_deadline_ms: f.get("recv_deadline_ms")?,
+            fault_spec: f.get_or("fault_spec", String::new())?,
+            checkpoint: f.get_or("checkpoint", String::new())?,
+            snapshot: f.get_or("snapshot", String::new())?,
+            checkpoint_interval: f.get("checkpoint_interval")?,
+            max_recoveries: f.get_or("max_recoveries", 1)?,
+            validate_protocol: f.get("validate_protocol")?,
+        };
+        f.finish()?;
+        Ok(spec)
     }
-    out
-}
-
-/// Finds `"key": <number>` in a flat JSON document.
-fn scan_number(text: &str, key: &str) -> Option<f64> {
-    let rest = after_key(text, key)?;
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '-' || c == '+' || c == '.' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Finds `"key": <flag>` in a flat JSON document, accepting JSON
-/// booleans as well as the 0/1 numbers [`ClusterSpec::to_json`] emits
-/// (hand-written specs naturally use `true`/`false`).
-fn scan_flag(text: &str, key: &str) -> Option<bool> {
-    let rest = after_key(text, key)?;
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        scan_number(text, key).map(|v| v != 0.0)
-    }
-}
-
-/// Finds `"key": "<string>"` in a flat JSON document (supports `\"`
-/// and `\\` escapes).
-fn scan_string(text: &str, key: &str) -> Option<String> {
-    let rest = after_key(text, key)?;
-    let rest = rest.strip_prefix('"')?;
-    let mut end = None;
-    let bytes = rest.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' => i += 2,
-            b'"' => {
-                end = Some(i);
-                break;
-            }
-            _ => i += 1,
-        }
-    }
-    Some(unescape(&rest[..end?]))
-}
-
-/// Finds `"key": [n, n, ...]` in a flat JSON document.
-fn scan_array(text: &str, key: &str) -> Option<Vec<f64>> {
-    let rest = after_key(text, key)?;
-    let rest = rest.strip_prefix('[')?;
-    let close = rest.find(']')?;
-    let inner = rest[..close].trim();
-    if inner.is_empty() {
-        return Some(Vec::new());
-    }
-    inner.split(',').map(|s| s.trim().parse().ok()).collect()
-}
-
-/// Positions after `"key":`, whitespace skipped.
-fn after_key<'a>(text: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let at = text.find(&pat)?;
-    Some(text[at + pat.len()..].trim_start())
 }
 
 #[cfg(test)]
@@ -386,9 +293,8 @@ mod tests {
         assert_eq!(ClusterSpec::from_json(&s.to_json()).unwrap(), s);
     }
 
-    #[test]
-    fn spec_accepts_hand_written_json() {
-        let text = r#"{
+    /// A hand-written spec in the README's style (spaces, `true`).
+    const HAND_WRITTEN: &str = r#"{
             "schema": "parallax-cluster-v1",
             "preset": "lm",
             "machines": 1, "gpus_per_machine": 2,
@@ -399,11 +305,124 @@ mod tests {
             "checkpoint_interval": 0, "max_recoveries": 0,
             "validate_protocol": true
         }"#;
-        let s = ClusterSpec::from_json(text).unwrap();
+
+    fn rejected(text: &str) -> bool {
+        matches!(ClusterSpec::from_json(text), Err(NetError::Spec(_)))
+    }
+
+    #[test]
+    fn spec_accepts_hand_written_json() {
+        let s = ClusterSpec::from_json(HAND_WRITTEN).unwrap();
         assert_eq!(s.preset, "lm");
         assert!(s.validate_protocol);
         assert!(s.ports.is_empty());
         assert_eq!(s.max_recoveries, 0);
+        // Whitespace around ':' is JSON too.
+        let spaced = HAND_WRITTEN.replace("\"machines\": 1", "\"machines\" : 1");
+        assert_eq!(ClusterSpec::from_json(&spaced).unwrap(), s);
+        // `max_recoveries` is optional and defaults to 1.
+        let defaulted = HAND_WRITTEN.replace(", \"max_recoveries\": 0", "");
+        assert_eq!(
+            ClusterSpec::from_json(&defaulted).unwrap().max_recoveries,
+            1
+        );
+    }
+
+    #[test]
+    fn readme_quick_start_spec_parses() {
+        let readme = include_str!("../../../README.md");
+        let open = "cat > CLUSTER.json <<'EOF'\n";
+        let start = readme
+            .find(open)
+            .expect("README has the CLUSTER.json quick start")
+            + open.len();
+        let len = readme[start..].find("\nEOF\n").expect("heredoc ends");
+        let s = ClusterSpec::from_json(&readme[start..start + len]).unwrap();
+        assert_eq!(
+            (s.preset.as_str(), s.machines, s.gpus_per_machine),
+            ("lm", 1, 2)
+        );
+        assert_eq!((s.checkpoint.as_str(), s.max_recoveries), ("run.ckpt", 1));
+    }
+
+    #[test]
+    fn integers_round_trip_exactly_above_2_pow_53() {
+        let mut s = spec();
+        s.seed = (1 << 53) + 1;
+        s.recv_deadline_ms = u64::MAX;
+        assert_eq!(ClusterSpec::from_json(&s.to_json()).unwrap(), s);
+        let text = HAND_WRITTEN.replace("\"seed\": 7", "\"seed\": 9007199254740993");
+        assert_eq!(
+            ClusterSpec::from_json(&text).unwrap().seed,
+            9_007_199_254_740_993
+        );
+    }
+
+    #[test]
+    fn inexact_integers_are_rejected_not_truncated() {
+        for field in ["\"machines\": 1", "\"seed\": 7", "\"max_recoveries\": 0"] {
+            let key = field.split(':').next().unwrap();
+            for bad in [
+                "2.7",
+                "2x",
+                "-1",
+                "1e0",
+                "null",
+                "\"2\"",
+                "18446744073709551616",
+            ] {
+                let text = HAND_WRITTEN.replace(field, &format!("{key}: {bad}"));
+                assert!(rejected(&text), "{key}: {bad} was accepted");
+            }
+        }
+        for ports in [
+            "[0, 7001, 7002]",
+            "[70000, 7001, 7002]",
+            "[7000.5, 7001, 7002]",
+        ] {
+            let text = HAND_WRITTEN.replace("\"ports\": []", &format!("\"ports\": {ports}"));
+            assert!(rejected(&text), "ports {ports} were accepted");
+        }
+        // 0/1 is not a boolean.
+        assert!(rejected(&HAND_WRITTEN.replace(
+            "\"validate_protocol\": true",
+            "\"validate_protocol\": 1"
+        )));
+    }
+
+    #[test]
+    fn keys_fail_closed() {
+        // A duplicate key, a typo of an optional key, and a nested
+        // object holding a real key name are all errors, never a silent
+        // default or a shadowed value.
+        for (from, to) in [
+            ("\"seed\": 7", "\"seed\": 7, \"seed\": 8"),
+            ("\"max_recoveries\": 0", "\"max_recoverys\": 5"),
+            (
+                "\"preset\": \"lm\",",
+                "\"preset\": \"lm\", \"extra\": {\"seed\": 1},",
+            ),
+        ] {
+            assert!(
+                rejected(&HAND_WRITTEN.replace(from, to)),
+                "{to} was accepted"
+            );
+        }
+        assert!(rejected("{\"schema\":\"parallax-cluster-v1\"} trailing"));
+        assert!(rejected(
+            &HAND_WRITTEN.replace("parallax-cluster-v1", "parallax-cluster-v2")
+        ));
+    }
+
+    #[test]
+    fn awkward_strings_round_trip_as_valid_json() {
+        let mut s = spec();
+        s.artifact_dir = "/tmp/run\n\"seed\":1\\\tdünn 😀".into();
+        s.fault_spec = "\"machines\":9".into();
+        let text = s.to_json();
+        assert!(!text.contains('\n'), "raw newline in {text}");
+        json::parse(&text).expect("spec JSON is well-formed");
+        assert_eq!(ClusterSpec::from_json(&text).unwrap(), s);
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Exporters for [`TraceDump`]: Chrome-trace JSON, per-iteration
 //! breakdown tables, straggler reports, and a machine-readable summary.
 //!
-//! All JSON is emitted by hand (the workspace carries no serde); the
-//! [`validate_json`] checker lets tests assert the output is
-//! well-formed JSON that `chrome://tracing` / Perfetto will load.
+//! The JSON documents are built as [`crate::json::Value`]s, so they
+//! are well-formed JSON that `chrome://tracing` / Perfetto will load.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::json::Value;
 use crate::tracer::{FlowPoint, SpanCat, SpanRecord, TraceDump, SIM_LANE, UNTRACKED_MACHINE};
 
 /// Name of the per-iteration phase span the runner opens around each
@@ -22,26 +22,9 @@ pub const COMPUTE_PHASE_SPANS: [&str; 3] = ["phase.forward", "phase.backward", "
 
 // ----------------------------------------------------------------- helpers
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn us(ns: u64) -> f64 {
-    ns as f64 / 1000.0
+/// Nanoseconds as the microseconds Chrome trace timestamps use.
+fn us(ns: u64) -> Value {
+    Value::fixed(ns as f64 / 1000.0, 3)
 }
 
 /// Exclusive (self) duration per record: duration minus the duration of
@@ -89,31 +72,23 @@ pub fn self_durations(records: &[SpanRecord]) -> Vec<u64> {
 /// modelled (simulated) spans sit on a dedicated `sim (modelled)` lane
 /// of the same process.
 pub fn chrome_trace(dump: &TraceDump) -> String {
-    let mut out = String::with_capacity(dump.records.len() * 128 + 1024);
-    out.push_str("{\"traceEvents\":[");
-    let mut first = true;
-    let push = |out: &mut String, first: &mut bool, ev: String| {
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
-        out.push_str(&ev);
-    };
+    let mut events = Vec::with_capacity(dump.records.len() + 16);
 
     // Metadata: process names for every machine, thread names for every
     // known lane (registered threads + any sim lanes present).
     let mut machines: Vec<u32> = dump.records.iter().map(|r| r.machine).collect();
     machines.sort_unstable();
     machines.dedup();
-    for m in &machines {
-        push(
-            &mut out,
-            &mut first,
-            format!(
-                "{{\"ph\":\"M\",\"pid\":{m},\"name\":\"process_name\",\
-                 \"args\":{{\"name\":\"machine{m}\"}}}}"
+    for m in machines {
+        events.push(Value::object([
+            ("ph", "M".into()),
+            ("pid", m.into()),
+            ("name", "process_name".into()),
+            (
+                "args",
+                Value::object([("name", format!("machine{m}").into())]),
             ),
-        );
+        ]));
     }
     let mut named: Vec<(u32, u32, String)> = dump
         .threads
@@ -133,16 +108,14 @@ pub fn chrome_trace(dump: &TraceDump) -> String {
     }
     named.sort();
     named.dedup();
-    for (machine, lane, label) in &named {
-        push(
-            &mut out,
-            &mut first,
-            format!(
-                "{{\"ph\":\"M\",\"pid\":{machine},\"tid\":{lane},\
-                 \"name\":\"thread_name\",\"args\":{{\"name\":\"{}\"}}}}",
-                esc(label)
-            ),
-        );
+    for (machine, lane, label) in named {
+        events.push(Value::object([
+            ("ph", "M".into()),
+            ("pid", machine.into()),
+            ("tid", lane.into()),
+            ("name", "thread_name".into()),
+            ("args", Value::object([("name", label.into())])),
+        ]));
     }
 
     // Complete ("X") events, sorted for stable output.
@@ -153,51 +126,43 @@ pub fn chrome_trace(dump: &TraceDump) -> String {
     });
     for i in order {
         let r = &dump.records[i];
-        push(
-            &mut out,
-            &mut first,
-            format!(
-                "{{\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{:.3},\"dur\":{:.3},\
-                 \"name\":\"{}\",\"cat\":\"{}\",\
-                 \"args\":{{\"iter\":{},\"bytes\":{}}}}}",
-                r.machine,
-                r.lane,
-                us(r.start_ns),
-                us(r.dur_ns),
-                esc(r.name),
-                r.cat.as_str(),
-                r.iter,
-                r.bytes
+        events.push(Value::object([
+            ("ph", "X".into()),
+            ("pid", r.machine.into()),
+            ("tid", r.lane.into()),
+            ("ts", us(r.start_ns)),
+            ("dur", us(r.dur_ns)),
+            ("name", r.name.into()),
+            ("cat", r.cat.as_str().into()),
+            (
+                "args",
+                Value::object([("iter", r.iter.into()), ("bytes", r.bytes.into())]),
             ),
-        );
+        ]));
         // Flow events bind to the enclosing slice on their pid/tid at
         // `ts`; emitting them at the slice midpoint keeps the binding
         // unambiguous even with zero-length neighbours.
-        let mid = us(r.start_ns + r.dur_ns / 2);
-        match r.flow {
-            FlowPoint::None => {}
-            FlowPoint::Start(id) => push(
-                &mut out,
-                &mut first,
-                format!(
-                    "{{\"ph\":\"s\",\"pid\":{},\"tid\":{},\"ts\":{:.3},\
-                     \"id\":{id},\"name\":\"ps.flow\",\"cat\":\"flow\"}}",
-                    r.machine, r.lane, mid
-                ),
-            ),
-            FlowPoint::Finish(id) => push(
-                &mut out,
-                &mut first,
-                format!(
-                    "{{\"ph\":\"f\",\"bp\":\"e\",\"pid\":{},\"tid\":{},\"ts\":{:.3},\
-                     \"id\":{id},\"name\":\"ps.flow\",\"cat\":\"flow\"}}",
-                    r.machine, r.lane, mid
-                ),
-            ),
-        }
+        let mut flow = match r.flow {
+            FlowPoint::None => continue,
+            FlowPoint::Start(id) => vec![("ph", "s".into()), ("id", id.into())],
+            FlowPoint::Finish(id) => {
+                vec![("ph", "f".into()), ("bp", "e".into()), ("id", id.into())]
+            }
+        };
+        flow.extend([
+            ("pid", r.machine.into()),
+            ("tid", r.lane.into()),
+            ("ts", us(r.start_ns + r.dur_ns / 2)),
+            ("name", "ps.flow".into()),
+            ("cat", "flow".into()),
+        ]);
+        events.push(Value::object(flow));
     }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
+    Value::object([
+        ("traceEvents", Value::Array(events)),
+        ("displayTimeUnit", "ms".into()),
+    ])
+    .to_string()
 }
 
 // ------------------------------------------------------------- flow checker
@@ -517,11 +482,7 @@ pub fn straggler_report(dump: &TraceDump) -> String {
 /// counters, histogram digests, straggler stats). Valid JSON.
 pub fn summary_json(dump: &TraceDump) -> String {
     let selfs = self_durations(&dump.records);
-    let mut out = String::new();
-    out.push_str("{\"schema\":\"parallax-trace-summary-v1\"");
-
-    out.push_str(",\"spans\":{");
-    let mut first = true;
+    let mut spans = Vec::new();
     for cat in SpanCat::all() {
         let (mut count, mut total_ns, mut self_ns, mut bytes) = (0u64, 0u64, 0u64, 0u64);
         for (i, r) in dump.records.iter().enumerate() {
@@ -532,251 +493,62 @@ pub fn summary_json(dump: &TraceDump) -> String {
                 bytes += r.bytes;
             }
         }
-        if count == 0 {
-            continue;
-        }
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "\"{}\":{{\"count\":{count},\"total_ns\":{total_ns},\
-             \"self_ns\":{self_ns},\"bytes\":{bytes}}}",
-            cat.as_str()
-        );
-    }
-    out.push('}');
-
-    let _ = write!(
-        out,
-        ",\"total_span_bytes\":{},\"unattributed_net_bytes\":{},\"dropped\":{}",
-        dump.total_span_bytes(),
-        dump.unattributed_net_bytes,
-        dump.dropped
-    );
-
-    out.push_str(",\"counters\":{");
-    for (i, (name, v)) in dump.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":{v}", esc(name));
-    }
-    out.push('}');
-
-    out.push_str(",\"histograms\":{");
-    for (i, (name, h)) in dump.histograms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\"{}\":{{\"count\":{},\"sum\":{},\"mean\":{:.3},\
-             \"p50_ub\":{},\"p99_ub\":{}}}",
-            esc(name),
-            h.count,
-            h.sum,
-            h.mean(),
-            h.quantile_upper_bound(0.5),
-            h.quantile_upper_bound(0.99)
-        );
-    }
-    out.push('}');
-
-    out.push_str(",\"stragglers\":[");
-    for (i, s) in straggler_stats(dump).iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"iter\":{},\"max_ns\":{},\"median_ns\":{},\"slowest_machine\":{}}}",
-            s.iter, s.max_ns, s.median_ns, s.slowest_machine
-        );
-    }
-    out.push_str("]}");
-    out
-}
-
-// ------------------------------------------------------------ json checker
-
-/// Minimal recursive-descent JSON well-formedness check, so tests can
-/// assert exporter output parses without pulling in a JSON dependency.
-/// Accepts exactly the RFC 8259 grammar (objects, arrays, strings,
-/// numbers, literals); rejects trailing garbage.
-pub fn validate_json(s: &str) -> Result<(), String> {
-    struct P<'a> {
-        b: &'a [u8],
-        i: usize,
-    }
-    impl<'a> P<'a> {
-        fn err(&self, msg: &str) -> String {
-            format!("{msg} at byte {}", self.i)
-        }
-        fn ws(&mut self) {
-            while self.i < self.b.len() && matches!(self.b[self.i], b' ' | b'\t' | b'\n' | b'\r') {
-                self.i += 1;
-            }
-        }
-        fn peek(&self) -> Option<u8> {
-            self.b.get(self.i).copied()
-        }
-        fn eat(&mut self, c: u8) -> Result<(), String> {
-            if self.peek() == Some(c) {
-                self.i += 1;
-                Ok(())
-            } else {
-                Err(self.err(&format!("expected '{}'", c as char)))
-            }
-        }
-        fn value(&mut self, depth: usize) -> Result<(), String> {
-            if depth > 128 {
-                return Err(self.err("nesting too deep"));
-            }
-            self.ws();
-            match self.peek() {
-                Some(b'{') => self.object(depth),
-                Some(b'[') => self.array(depth),
-                Some(b'"') => self.string(),
-                Some(b't') => self.lit("true"),
-                Some(b'f') => self.lit("false"),
-                Some(b'n') => self.lit("null"),
-                Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-                _ => Err(self.err("expected a JSON value")),
-            }
-        }
-        fn lit(&mut self, word: &str) -> Result<(), String> {
-            if self.b[self.i..].starts_with(word.as_bytes()) {
-                self.i += word.len();
-                Ok(())
-            } else {
-                Err(self.err(&format!("expected '{word}'")))
-            }
-        }
-        fn object(&mut self, depth: usize) -> Result<(), String> {
-            self.eat(b'{')?;
-            self.ws();
-            if self.peek() == Some(b'}') {
-                self.i += 1;
-                return Ok(());
-            }
-            loop {
-                self.ws();
-                self.string()?;
-                self.ws();
-                self.eat(b':')?;
-                self.value(depth + 1)?;
-                self.ws();
-                match self.peek() {
-                    Some(b',') => self.i += 1,
-                    Some(b'}') => {
-                        self.i += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(self.err("expected ',' or '}'")),
-                }
-            }
-        }
-        fn array(&mut self, depth: usize) -> Result<(), String> {
-            self.eat(b'[')?;
-            self.ws();
-            if self.peek() == Some(b']') {
-                self.i += 1;
-                return Ok(());
-            }
-            loop {
-                self.value(depth + 1)?;
-                self.ws();
-                match self.peek() {
-                    Some(b',') => self.i += 1,
-                    Some(b']') => {
-                        self.i += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(self.err("expected ',' or ']'")),
-                }
-            }
-        }
-        fn string(&mut self) -> Result<(), String> {
-            self.eat(b'"')?;
-            while let Some(c) = self.peek() {
-                self.i += 1;
-                match c {
-                    b'"' => return Ok(()),
-                    b'\\' => {
-                        let e = self.peek().ok_or_else(|| self.err("bad escape"))?;
-                        self.i += 1;
-                        match e {
-                            b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't' => {}
-                            b'u' => {
-                                for _ in 0..4 {
-                                    let h =
-                                        self.peek().ok_or_else(|| self.err("bad \\u escape"))?;
-                                    if !h.is_ascii_hexdigit() {
-                                        return Err(self.err("bad \\u escape"));
-                                    }
-                                    self.i += 1;
-                                }
-                            }
-                            _ => return Err(self.err("bad escape")),
-                        }
-                    }
-                    0x00..=0x1f => return Err(self.err("raw control char in string")),
-                    _ => {}
-                }
-            }
-            Err(self.err("unterminated string"))
-        }
-        fn number(&mut self) -> Result<(), String> {
-            if self.peek() == Some(b'-') {
-                self.i += 1;
-            }
-            let digits = |p: &mut Self| -> Result<(), String> {
-                let start = p.i;
-                while p.peek().is_some_and(|c| c.is_ascii_digit()) {
-                    p.i += 1;
-                }
-                if p.i == start {
-                    Err(p.err("expected digits"))
-                } else {
-                    Ok(())
-                }
-            };
-            if self.peek() == Some(b'0') {
-                self.i += 1;
-            } else {
-                digits(self)?;
-            }
-            if self.peek() == Some(b'.') {
-                self.i += 1;
-                digits(self)?;
-            }
-            if matches!(self.peek(), Some(b'e') | Some(b'E')) {
-                self.i += 1;
-                if matches!(self.peek(), Some(b'+') | Some(b'-')) {
-                    self.i += 1;
-                }
-                digits(self)?;
-            }
-            Ok(())
+        if count > 0 {
+            spans.push((
+                cat.as_str(),
+                Value::object([
+                    ("count", count.into()),
+                    ("total_ns", total_ns.into()),
+                    ("self_ns", self_ns.into()),
+                    ("bytes", bytes.into()),
+                ]),
+            ));
         }
     }
-    let mut p = P {
-        b: s.as_bytes(),
-        i: 0,
-    };
-    p.value(0)?;
-    p.ws();
-    if p.i != p.b.len() {
-        return Err(p.err("trailing garbage"));
-    }
-    Ok(())
+    let histograms = dump.histograms.iter().map(|(name, h)| {
+        (
+            name.as_str(),
+            Value::object([
+                ("count", h.count.into()),
+                ("sum", h.sum.into()),
+                ("mean", Value::fixed(h.mean(), 3)),
+                ("p50_ub", h.quantile_upper_bound(0.5).into()),
+                ("p99_ub", h.quantile_upper_bound(0.99).into()),
+            ]),
+        )
+    });
+    let stragglers = straggler_stats(dump).into_iter().map(|s| {
+        Value::object([
+            ("iter", s.iter.into()),
+            ("max_ns", s.max_ns.into()),
+            ("median_ns", s.median_ns.into()),
+            ("slowest_machine", s.slowest_machine.into()),
+        ])
+    });
+    Value::object([
+        ("schema", "parallax-trace-summary-v1".into()),
+        ("spans", Value::object(spans)),
+        ("total_span_bytes", dump.total_span_bytes().into()),
+        ("unattributed_net_bytes", dump.unattributed_net_bytes.into()),
+        ("dropped", dump.dropped.into()),
+        (
+            "counters",
+            Value::object(
+                dump.counters
+                    .iter()
+                    .map(|(name, v)| (name.as_str(), (*v).into())),
+            ),
+        ),
+        ("histograms", Value::object(histograms)),
+        ("stragglers", stragglers.collect()),
+    ])
+    .to_string()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
     use crate::tracer::{ThreadInfo, UNTRACKED_MACHINE};
 
     #[allow(clippy::too_many_arguments)]
@@ -848,7 +620,7 @@ mod tests {
     #[test]
     fn chrome_trace_is_valid_json_with_rows() {
         let json = chrome_trace(&sample_dump());
-        validate_json(&json).expect("chrome trace must be valid JSON");
+        json::parse(&json).expect("chrome trace must be valid JSON");
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"name\":\"machine0\""));
@@ -863,7 +635,7 @@ mod tests {
     fn summary_json_is_valid_and_cross_checks_bytes() {
         let d = sample_dump();
         let json = summary_json(&d);
-        validate_json(&json).expect("summary must be valid JSON");
+        json::parse(&json).expect("summary must be valid JSON");
         assert!(json.contains("\"total_span_bytes\":516"));
         assert!(json.contains("\"c\\\"x\":3"));
     }
@@ -980,7 +752,7 @@ mod tests {
         d.records.push(finish);
         assert_eq!(check_flows(&d), Ok(1));
         let json = chrome_trace(&d);
-        validate_json(&json).expect("chrome trace with flows must be valid JSON");
+        json::parse(&json).expect("chrome trace with flows must be valid JSON");
         assert!(json.contains("\"ph\":\"s\""));
         assert!(json.contains("\"ph\":\"f\",\"bp\":\"e\""));
         assert!(json.contains(&format!("\"id\":{}", 0xabc)));
@@ -1000,16 +772,5 @@ mod tests {
         assert_eq!(check_flows(&d), Ok(1));
         d.records.push(orphan);
         assert!(check_flows(&d).is_err());
-    }
-
-    #[test]
-    fn validator_accepts_and_rejects() {
-        validate_json("{\"a\":[1,2.5,-3e2,true,null,\"s\\n\"]}").unwrap();
-        validate_json(" 42 ").unwrap();
-        assert!(validate_json("{\"a\":1,}").is_err());
-        assert!(validate_json("[1 2]").is_err());
-        assert!(validate_json("\"unterminated").is_err());
-        assert!(validate_json("{} trailing").is_err());
-        assert!(validate_json("01").is_err());
     }
 }

@@ -27,9 +27,11 @@
 //! Exporters live in [`export`]: Chrome `chrome://tracing`/Perfetto
 //! JSON (one row per simulated machine/worker), a per-iteration
 //! self-time breakdown table, a straggler report, and a
-//! machine-readable summary.
+//! machine-readable summary. Every JSON document the workspace reads
+//! or writes goes through [`json`].
 
 pub mod export;
+pub mod json;
 mod tracer;
 
 pub use tracer::{

@@ -8,6 +8,9 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --workspace
 cargo test -q --workspace
+# The benchmark package (perfbench/, outside the workspace) carries
+# seeded-defect tests for its own output checks.
+cargo test -q --manifest-path perfbench/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all --check
 
