@@ -397,7 +397,12 @@ pub fn run(path: &str) -> Result<(String, bool), String> {
     let reps = 9;
     let lstms = measure_lstm(reps);
     for r in &lstms {
-        let gate_ok = r.speedup() >= FUSED_SPEEDUP_GATE;
+        // The speedup is a property of optimized code: an unoptimized
+        // build times the kernels' debug overhead, often beside a
+        // parallel test run. There the row is reported, not gated; the
+        // release `repro compress` run gates it.
+        let timed = !cfg!(debug_assertions);
+        let gate_ok = !timed || r.speedup() >= FUSED_SPEEDUP_GATE;
         ok &= gate_ok;
         let _ = writeln!(
             out,
@@ -409,7 +414,11 @@ pub fn run(path: &str) -> Result<(String, bool), String> {
             r.unfused_secs * 1e6,
             r.fused_secs * 1e6,
             r.speedup(),
-            if gate_ok { "ok" } else { "GATE FAIL" },
+            match (timed, gate_ok) {
+                (false, _) => "not gated: unoptimized build",
+                (true, true) => "ok",
+                (true, false) => "GATE FAIL",
+            },
         );
     }
 

@@ -886,6 +886,24 @@ fn check_spec(preset: &str, machines: usize, gpus: usize, wire: &str) -> Cluster
     }
 }
 
+/// Reports the network bytes of the nccl and ps classes and whether
+/// both are non-zero: every preset must move both across machines, since
+/// a class with no network bytes compares 0 B with 0 B and proves
+/// nothing.
+fn classes_carry_bytes(out: &mut String, traffic: &TrafficReport) -> bool {
+    let mut ok = true;
+    for (name, class) in [("nccl", &traffic.nccl), ("ps", &traffic.ps)] {
+        let bytes = class.total_network_bytes();
+        let _ = writeln!(
+            out,
+            "traffic[{name}]: {bytes} B across machines: {}",
+            if bytes > 0 { "non-zero" } else { "ZERO" }
+        );
+        ok &= bytes > 0;
+    }
+    ok
+}
+
 fn bitwise_eq(a: &[f32], b: &[f32]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
@@ -990,6 +1008,8 @@ fn check_preset(out: &mut String, program: &Path, mut spec: ClusterSpec) -> Resu
         ok &= eq;
     }
 
+    ok &= classes_carry_bytes(out, &merged.traffic);
+
     let pred_classes = [
         ("nccl", &predicted.nccl, &merged.traffic.nccl),
         ("mpi", &predicted.mpi, &merged.traffic.mpi),
@@ -1028,9 +1048,10 @@ pub fn run(program: &Path) -> (String, bool) {
     let _ = writeln!(out, "== Distributed equivalence: in-process vs sockets ==");
     let mut all_ok = true;
     for spec in [
-        // lm exercises the sparse-PS path with compressed wire words on
-        // the 1x2 smoke topology the launcher quick-start documents.
-        check_spec("lm", 1, 2, "f16"),
+        // lm exercises the sparse-PS path and local aggregation with
+        // compressed wire words, and its fused 16-bit ring crosses real
+        // sockets between machines.
+        check_spec("lm", 2, 2, "f16"),
         // nmt crosses a (modelled) machine boundary, so per-link bytes
         // in the merged ledger cover genuinely inter-process links.
         check_spec("nmt", 2, 1, "f32"),
@@ -1118,7 +1139,7 @@ mod tests {
 
     #[test]
     fn dist_job_builds_for_both_presets() {
-        for (preset, machines, gpus) in [("lm", 1, 2), ("nmt", 2, 1)] {
+        for (preset, machines, gpus) in [("lm", 2, 2), ("nmt", 2, 1)] {
             let spec = check_spec(preset, machines, gpus, "f32");
             let job = DistJob::build(&spec).unwrap_or_else(|e| panic!("{preset}: {e}"));
             assert_eq!(job.runner.topology().num_workers(), machines * gpus);
@@ -1128,6 +1149,20 @@ mod tests {
             assert!(!a.is_empty());
             assert_eq!(a.len(), b.len());
         }
+    }
+
+    #[test]
+    fn classes_without_network_bytes_fail_the_gate() {
+        let mut out = String::new();
+        assert!(!classes_carry_bytes(&mut out, &TrafficReport::default()));
+        assert!(
+            out.contains("traffic[nccl]: 0 B across machines: ZERO"),
+            "{out}"
+        );
+        let mut traffic = artifact().traffic;
+        assert!(classes_carry_bytes(&mut String::new(), &traffic));
+        traffic.ps = TrafficSnapshot::default();
+        assert!(!classes_carry_bytes(&mut String::new(), &traffic));
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! `w/N` bytes per worker per step for `2(N-1)` steps; AllGatherv moves
 //! each worker's full contribution for `N-1` steps.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use parallax_tensor::{IndexedSlices, Tensor};
@@ -79,14 +80,101 @@ pub fn ring_reduce_reference(parts: &[&[f32]]) -> Result<Vec<f32>> {
     Ok(out)
 }
 
-/// Ring AllReduce (sum) in place: after the call every participant's
-/// `data` holds the elementwise sum over all participants.
+/// Total element count of chunk `c` over buffers of lengths `lens`: the
+/// size of one fused ring-step message. Shared with the static traffic
+/// predictor (`crate::predict`).
+pub(crate) fn fused_chunk_len(lens: &[usize], n: usize, c: usize) -> usize {
+    lens.iter().map(|&len| chunk_range(len, n, c).len()).sum()
+}
+
+/// Where chunk `c` of each buffer sits in a fused ring-step message:
+/// `(buffer, range in the buffer, range in the message)`, in message
+/// order. The message is the concatenation of every buffer's chunk `c`.
+fn segments(
+    lens: &[usize],
+    n: usize,
+    c: usize,
+) -> impl Iterator<Item = (usize, Range<usize>, Range<usize>)> + '_ {
+    let mut offset = 0;
+    lens.iter().enumerate().map(move |(i, &len)| {
+        let range = chunk_range(len, n, c);
+        let in_msg = offset..offset + range.len();
+        offset = in_msg.end;
+        (i, range, in_msg)
+    })
+}
+
+/// Concatenates chunk `c` of every buffer into one step message.
+fn gather_chunk(bufs: &[&mut [f32]], lens: &[usize], n: usize, c: usize) -> Vec<f32> {
+    let mut msg = Vec::with_capacity(fused_chunk_len(lens, n, c));
+    for (i, range, _) in segments(lens, n, c) {
+        msg.extend_from_slice(&bufs[i][range]);
+    }
+    msg
+}
+
+/// Adds every buffer's chunk `c` into the partial sums of a received
+/// step message.
+fn add_local(acc: &mut [f32], bufs: &[&mut [f32]], lens: &[usize], n: usize, c: usize) {
+    for (i, range, in_msg) in segments(lens, n, c) {
+        // partial + local: f32 addition is commutative, so this is
+        // bitwise identical to adding incoming into the local chunk.
+        for (x, d) in acc[in_msg].iter_mut().zip(&bufs[i][range]) {
+            *x += *d;
+        }
+    }
+}
+
+/// Writes a step message for chunk `c` back into every buffer; `write`
+/// copies or decodes one segment.
+fn scatter_chunk<T>(
+    bufs: &mut [&mut [f32]],
+    lens: &[usize],
+    n: usize,
+    c: usize,
+    msg: &[T],
+    mut write: impl FnMut(&[T], &mut [f32]),
+) {
+    for (i, range, in_msg) in segments(lens, n, c) {
+        write(&msg[in_msg], &mut bufs[i][range]);
+    }
+}
+
+/// A step message must hold exactly chunk `c` of every buffer; any
+/// other length means the participants disagree on the buffer set.
+fn expect_chunk(got: usize, lens: &[usize], n: usize, c: usize) -> Result<()> {
+    let expected = fused_chunk_len(lens, n, c);
+    if got != expected {
+        return Err(CommError::LengthMismatch {
+            expected,
+            actual: got,
+        });
+    }
+    Ok(())
+}
+
+/// Ring AllReduce (sum) in place over a set of buffers: after the call
+/// every participant's `bufs[i]` holds the elementwise sum of `bufs[i]`
+/// over all participants. Every participant passes the same number of
+/// buffers with the same lengths; a single buffer is a one-element
+/// slice.
+///
+/// All buffers share one ring: each of the `2(N-1)` steps sends one
+/// message, the concatenation of every buffer's chunk for that step.
+/// Each element still folds in exactly the order of its own
+/// single-buffer ring (chunk `c` starts at position `c` and accumulates
+/// in ascending position order), so every buffer comes out bitwise equal
+/// to [`ring_reduce_reference`] of its contributions. An empty buffer
+/// set sends nothing.
 pub fn ring_allreduce(
     ep: &mut Endpoint,
     ranks: &[usize],
     tag: u64,
-    data: &mut [f32],
+    bufs: &mut [&mut [f32]],
 ) -> Result<()> {
+    if bufs.is_empty() {
+        return Ok(());
+    }
     let _span = span(SpanCat::Collective, "allreduce");
     let pos = position(ep, ranks)?;
     let n = ranks.len();
@@ -95,74 +183,49 @@ pub fn ring_allreduce(
     }
     let next = ranks[(pos + 1) % n];
     let prev = ranks[(pos + n - 1) % n];
-    let len = data.len();
+    let lens: Vec<usize> = bufs.iter().map(|b| b.len()).collect();
 
-    // The chunk travelling the ring lives in `send_buf` and rotates:
+    // The message travelling the ring lives in `send_buf` and rotates:
     // every hop *moves* it into the router (no per-step copy — only the
-    // entry copy of the first outgoing chunk below), adds the local
+    // entry gather of the first outgoing chunk below), adds the local
     // contribution into the incoming buffer, and sends that next.
     //
     // Reduce-scatter: after step s the travelling chunk (pos - s - 1)
     // holds the partial sum of s + 2 contributions; after N-1 steps rank
-    // `pos` owns the fully reduced chunk (pos + 1) mod N. `data` itself
-    // stays untouched during this phase: every chunk index is received
-    // exactly once, so `data[recv_range]` is always the original local
-    // contribution, and partial sums never need to be written back
-    // (the allgather phase overwrites those ranges anyway).
-    let mut send_buf = data[chunk_range(len, n, pos)].to_vec();
+    // `pos` owns the fully reduced chunk (pos + 1) mod N. `bufs` stay
+    // untouched during this phase: every chunk index is received
+    // exactly once, so each buffer's `recv` chunk is always the original
+    // local contribution, and partial sums never need to be written
+    // back (the allgather phase overwrites those ranges anyway).
+    let mut send_buf = gather_chunk(bufs, &lens, n, pos);
     for step in 0..n - 1 {
         let _step = span(SpanCat::Collective, "allreduce.reduce_scatter");
         let recv_idx = (pos + n - step - 1) % n;
         ep.send(next, tag, Payload::Floats(Arc::new(send_buf)))?;
         let mut incoming = ep.recv(prev, tag)?.into_floats()?;
-        let recv_range = chunk_range(len, n, recv_idx);
-        if incoming.len() != recv_range.len() {
-            return Err(CommError::LengthMismatch {
-                expected: recv_range.len(),
-                actual: incoming.len(),
-            });
-        }
-        // partial + local: f32 addition is commutative, so this is
-        // bitwise identical to adding incoming into the local chunk.
-        for (x, d) in incoming.iter_mut().zip(&data[recv_range]) {
-            *x += *d;
-        }
+        expect_chunk(incoming.len(), &lens, n, recv_idx)?;
+        add_local(&mut incoming, bufs, &lens, n, recv_idx);
         send_buf = incoming;
     }
     // The rotation ends holding this rank's fully reduced chunk.
-    data[chunk_range(len, n, (pos + 1) % n)].copy_from_slice(&send_buf);
+    let copy = |src: &[f32], dst: &mut [f32]| dst.copy_from_slice(src);
+    scatter_chunk(bufs, &lens, n, (pos + 1) % n, &send_buf, copy);
     // Allgather: circulate the reduced chunks, forwarding each received
-    // buffer on the next hop. The first outgoing chunk (pos + 1) mod N
+    // message on the next hop. The first outgoing chunk (pos + 1) mod N
     // is exactly what `send_buf` already holds.
     for step in 0..n - 1 {
         let _step = span(SpanCat::Collective, "allreduce.allgather");
         let recv_idx = (pos + n - step) % n;
         ep.send(next, tag, Payload::Floats(Arc::new(send_buf)))?;
         let incoming = ep.recv(prev, tag)?.into_floats()?;
-        let recv_range = chunk_range(len, n, recv_idx);
-        if incoming.len() != recv_range.len() {
-            return Err(CommError::LengthMismatch {
-                expected: recv_range.len(),
-                actual: incoming.len(),
-            });
-        }
-        data[recv_range].copy_from_slice(&incoming);
+        expect_chunk(incoming.len(), &lens, n, recv_idx)?;
+        scatter_chunk(bufs, &lens, n, recv_idx, &incoming, copy);
         send_buf = incoming;
     }
     Ok(())
 }
 
-/// Ring AllReduce over a tensor's buffer.
-pub fn ring_allreduce_tensor(
-    ep: &mut Endpoint,
-    ranks: &[usize],
-    tag: u64,
-    tensor: &mut Tensor,
-) -> Result<()> {
-    ring_allreduce(ep, ranks, tag, tensor.data_mut())
-}
-
-/// Ring AllReduce with a selectable [`WireFormat`]: chunks travel as
+/// [`ring_allreduce`] with a selectable [`WireFormat`]: chunks travel as
 /// 16-bit wire words under f16/bf16, halving dense exchange bytes.
 ///
 /// Accumulation stays in f32 on every hop (decode → add local f32 →
@@ -171,16 +234,18 @@ pub fn ring_allreduce_tensor(
 /// ring owner; the owner keeps the decode of that exact encoding and
 /// forwards the same words verbatim around the allgather ring, so every
 /// rank decodes identical bytes and all replicas stay bitwise
-/// identical — the invariant the distributed-runner tests assert.
+/// identical — the invariant the distributed-runner tests assert. The
+/// codec is elementwise, so encoding the fused message equals encoding
+/// each buffer's chunk on its own.
 pub fn ring_allreduce_wire(
     ep: &mut Endpoint,
     ranks: &[usize],
     tag: u64,
-    data: &mut [f32],
+    bufs: &mut [&mut [f32]],
     wire: WireFormat,
 ) -> Result<()> {
-    if !wire.compresses() {
-        return ring_allreduce(ep, ranks, tag, data);
+    if !wire.compresses() || bufs.is_empty() {
+        return ring_allreduce(ep, ranks, tag, bufs);
     }
     let _span = span(SpanCat::Collective, "allreduce");
     let pos = position(ep, ranks)?;
@@ -191,11 +256,11 @@ pub fn ring_allreduce_wire(
     }
     let next = ranks[(pos + 1) % n];
     let prev = ranks[(pos + n - 1) % n];
-    let len = data.len();
+    let lens: Vec<usize> = bufs.iter().map(|b| b.len()).collect();
 
     // Same rotation as `ring_allreduce`; the travelling chunk is held
     // in f32 between hops and encoded only at the send boundary.
-    let mut send_f32 = data[chunk_range(len, n, pos)].to_vec();
+    let mut send_f32 = gather_chunk(bufs, &lens, n, pos);
     for step in 0..n - 1 {
         let _step = span(SpanCat::Collective, "allreduce.reduce_scatter");
         let recv_idx = (pos + n - step - 1) % n;
@@ -205,50 +270,26 @@ pub fn ring_allreduce_wire(
             Payload::Words(Arc::new(wire.encode_vec(&send_f32))),
         )?;
         let incoming = ep.recv(prev, tag)?.into_shared_words()?;
-        let recv_range = chunk_range(len, n, recv_idx);
-        if incoming.len() != recv_range.len() {
-            return Err(CommError::LengthMismatch {
-                expected: recv_range.len(),
-                actual: incoming.len(),
-            });
-        }
+        expect_chunk(incoming.len(), &lens, n, recv_idx)?;
         let mut acc = wire.decode_vec(&incoming);
-        for (x, d) in acc.iter_mut().zip(&data[recv_range]) {
-            *x += *d;
-        }
+        add_local(&mut acc, bufs, &lens, n, recv_idx);
         send_f32 = acc;
     }
     // The owner encodes the fully reduced chunk once; both its own copy
     // and every forwarded copy decode those same words.
+    let decode = |src: &[u16], dst: &mut [f32]| wire.decode_into(src, dst);
     let mut send_words = Arc::new(wire.encode_vec(&send_f32));
-    wire.decode_into(&send_words, &mut data[chunk_range(len, n, (pos + 1) % n)]);
+    scatter_chunk(bufs, &lens, n, (pos + 1) % n, &send_words, decode);
     for step in 0..n - 1 {
         let _step = span(SpanCat::Collective, "allreduce.allgather");
         let recv_idx = (pos + n - step) % n;
         ep.send(next, tag, Payload::Words(Arc::clone(&send_words)))?;
         let incoming = ep.recv(prev, tag)?.into_shared_words()?;
-        let recv_range = chunk_range(len, n, recv_idx);
-        if incoming.len() != recv_range.len() {
-            return Err(CommError::LengthMismatch {
-                expected: recv_range.len(),
-                actual: incoming.len(),
-            });
-        }
-        wire.decode_into(&incoming, &mut data[recv_range]);
+        expect_chunk(incoming.len(), &lens, n, recv_idx)?;
+        scatter_chunk(bufs, &lens, n, recv_idx, &incoming, decode);
         send_words = incoming;
     }
     Ok(())
-}
-
-/// [`ring_allreduce_wire`] over a tensor's buffer.
-pub fn ring_allreduce_tensor_wire(
-    ep: &mut Endpoint,
-    ranks: &[usize],
-    tag: u64,
-    tensor: &mut Tensor,
-    wire: WireFormat,
-) -> Result<()> {
-    ring_allreduce_wire(ep, ranks, tag, tensor.data_mut(), wire)
 }
 
 /// Ring AllGatherv: every participant contributes a variable-length float
@@ -566,7 +607,7 @@ mod tests {
             let len = 10;
             let (results, _) = run_all(topo, |ep, ranks| {
                 let mut data: Vec<f32> = (0..len).map(|i| (ep.rank() * 100 + i) as f32).collect();
-                ring_allreduce(ep, ranks, 1, &mut data).unwrap();
+                ring_allreduce(ep, ranks, 1, &mut [&mut data]).unwrap();
                 data
             });
             let expected: Vec<f32> = (0..len)
@@ -583,7 +624,7 @@ mod tests {
         let topo = Topology::uniform(3, 1).unwrap();
         let (results, _) = run_all(topo, |ep, ranks| {
             let mut data = vec![ep.rank() as f32 + 1.0; 7];
-            ring_allreduce(ep, ranks, 1, &mut data).unwrap();
+            ring_allreduce(ep, ranks, 1, &mut [&mut data]).unwrap();
             data
         });
         for r in &results {
@@ -596,7 +637,7 @@ mod tests {
         let topo = Topology::uniform(1, 1).unwrap();
         let (results, _) = run_all(topo, |ep, ranks| {
             let mut data = vec![3.0, 4.0];
-            ring_allreduce(ep, ranks, 1, &mut data).unwrap();
+            ring_allreduce(ep, ranks, 1, &mut [&mut data]).unwrap();
             data
         });
         assert_eq!(results[0], vec![3.0, 4.0]);
@@ -612,7 +653,7 @@ mod tests {
         let topo = Topology::uniform(n, 1).unwrap();
         let (_, traffic) = run_all(topo, |ep, ranks| {
             let mut data = vec![1.0f32; len];
-            ring_allreduce(ep, ranks, 1, &mut data).unwrap();
+            ring_allreduce(ep, ranks, 1, &mut [&mut data]).unwrap();
         });
         let per_machine_out = 2 * (n as u64 - 1) * (len as u64 / n as u64) * 4;
         for m in 0..n {
@@ -712,7 +753,7 @@ mod tests {
                     let mut data: Vec<f32> = (0..len)
                         .map(|i| (ep.rank() as f32 + 1.0) * 0.1 + i as f32 * 0.01)
                         .collect();
-                    ring_allreduce_wire(ep, ranks, 1, &mut data, wire).unwrap();
+                    ring_allreduce_wire(ep, ranks, 1, &mut [&mut data], wire).unwrap();
                     data
                 });
                 for r in &results[1..] {
@@ -743,7 +784,7 @@ mod tests {
             let len = 9;
             let (results, _) = run_all(topo, |ep, ranks| {
                 let mut data: Vec<f32> = (0..len).map(|i| (ep.rank() + i) as f32).collect();
-                ring_allreduce_wire(ep, ranks, 1, &mut data, wire).unwrap();
+                ring_allreduce_wire(ep, ranks, 1, &mut [&mut data], wire).unwrap();
                 data
             });
             let expected: Vec<f32> = (0..len)
@@ -762,7 +803,7 @@ mod tests {
         let topo = Topology::uniform(n, 1).unwrap();
         let (_, traffic) = run_all(topo, |ep, ranks| {
             let mut data = vec![1.0f32; len];
-            ring_allreduce_wire(ep, ranks, 1, &mut data, WireFormat::F16).unwrap();
+            ring_allreduce_wire(ep, ranks, 1, &mut [&mut data], WireFormat::F16).unwrap();
         });
         // Same hop schedule as raw, 2 bytes per scalar instead of 4.
         let per_machine_out = 2 * (n as u64 - 1) * (len as u64 / n as u64) * 2;
@@ -813,7 +854,7 @@ mod tests {
             };
             let (results, _) = run_all(topo, |ep, ranks| {
                 let mut data: Vec<f32> = (0..len).map(|i| contrib(ep.rank(), i)).collect();
-                ring_allreduce(ep, ranks, 1, &mut data).unwrap();
+                ring_allreduce(ep, ranks, 1, &mut [&mut data]).unwrap();
                 data
             });
             let parts: Vec<Vec<f32>> = (0..n)
@@ -825,6 +866,147 @@ mod tests {
                 let got: Vec<u32> = r.iter().map(|f| f.to_bits()).collect();
                 let want: Vec<u32> = reference.iter().map(|f| f.to_bits()).collect();
                 assert_eq!(got, want, "{machines}x{gpus} len {len}");
+            }
+        }
+    }
+
+    /// Contribution of `rank` to element `i` of buffer `b`, chosen so the
+    /// fold association matters (f32 addition is not associative).
+    fn contrib(rank: usize, b: usize, i: usize) -> f32 {
+        (1.0 + rank as f32) * 0.101
+            + (i as f32) * 0.037
+            + (b as f32) * 0.513
+            + 1e-6 * ((rank * 31 + i * 7 + b) as f32)
+    }
+
+    /// The ring's fold replayed locally under `wire`: chunk `c` starts at
+    /// position `c`, each hop quantizes the travelling partial sum before
+    /// the next position adds its f32 contribution, and the owner
+    /// quantizes the final sum once. Under f32 quantization is the
+    /// identity, so this is [`ring_reduce_reference`].
+    fn wire_reference(parts: &[Vec<f32>], wire: WireFormat) -> Vec<f32> {
+        let n = parts.len();
+        let len = parts[0].len();
+        let mut out = vec![0.0f32; len];
+        for c in 0..n {
+            for i in chunk_range(len, n, c) {
+                let mut acc = parts[c][i];
+                for k in 1..n {
+                    acc = wire.quantize(acc) + parts[(c + k) % n][i];
+                }
+                out[i] = wire.quantize(acc);
+            }
+        }
+        out
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn fused_ring_is_bitwise_each_buffers_own_ring() {
+        for n in 2..=5usize {
+            // Lengths 0, below n, not divisible by n, and a multiple of n.
+            let lens = [0, n - 1, 2 * n + 1, 1, 3 * n, 7];
+            let local = |rank: usize| -> Vec<Vec<f32>> {
+                lens.iter()
+                    .enumerate()
+                    .map(|(b, &len)| (0..len).map(|i| contrib(rank, b, i)).collect())
+                    .collect()
+            };
+            for wire in [WireFormat::F32, WireFormat::F16, WireFormat::Bf16] {
+                let topo = Topology::uniform(n, 1).unwrap();
+                let (fused, fused_traffic) = run_all(topo.clone(), |ep, ranks| {
+                    let mut bufs = local(ep.rank());
+                    let mut views: Vec<&mut [f32]> =
+                        bufs.iter_mut().map(|b| b.as_mut_slice()).collect();
+                    ring_allreduce_wire(ep, ranks, 1, &mut views, wire).unwrap();
+                    bufs
+                });
+                let (single, single_traffic) = run_all(topo, |ep, ranks| {
+                    let mut bufs = local(ep.rank());
+                    for data in bufs.iter_mut() {
+                        ring_allreduce_wire(ep, ranks, 1, &mut [data.as_mut_slice()], wire)
+                            .unwrap();
+                    }
+                    bufs
+                });
+                let all: Vec<Vec<Vec<f32>>> = (0..n).map(local).collect();
+                for b in 0..lens.len() {
+                    let parts: Vec<Vec<f32>> = all.iter().map(|r| r[b].clone()).collect();
+                    let want = bits(&wire_reference(&parts, wire));
+                    if wire == WireFormat::F32 {
+                        let views: Vec<&[f32]> = parts.iter().map(|p| p.as_slice()).collect();
+                        assert_eq!(bits(&ring_reduce_reference(&views).unwrap()), want);
+                    }
+                    for r in 0..n {
+                        let what = format!("n={n} {wire:?} rank {r} buffer {b}");
+                        assert_eq!(bits(&fused[r][b]), bits(&single[r][b]), "{what}");
+                        assert_eq!(bits(&fused[r][b]), want, "{what}");
+                    }
+                }
+                // Same bytes, one message per ring step instead of one per
+                // buffer per step.
+                assert_eq!(
+                    fused_traffic.total_network_bytes(),
+                    single_traffic.total_network_bytes()
+                );
+                assert_eq!(fused_traffic.inter_messages, (n * 2 * (n - 1)) as u64);
+                assert_eq!(
+                    single_traffic.inter_messages,
+                    (lens.len() * n * 2 * (n - 1)) as u64
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn empty_buffer_set_sends_nothing() {
+        let topo = Topology::uniform(3, 1).unwrap();
+        let (_, traffic) = run_all(topo, |ep, ranks| {
+            ring_allreduce(ep, ranks, 1, &mut []).unwrap();
+            ring_allreduce_wire(ep, ranks, 1, &mut [], WireFormat::F16).unwrap();
+        });
+        assert_eq!(traffic.inter_messages + traffic.intra_messages, 0);
+    }
+
+    #[test]
+    fn wrong_length_step_message_is_length_mismatch() {
+        // Rank 0 reduces buffers of lengths [3, 2] (chunk 1 holds 1 + 1
+        // elements); its predecessor sends a step message one element too
+        // long and one too short. Either must surface as a typed error
+        // before anything is scattered into the buffers.
+        for wire in [WireFormat::F32, WireFormat::F16, WireFormat::Bf16] {
+            for wrong in [3usize, 1] {
+                let topo = Topology::uniform(2, 1).unwrap();
+                let (results, _) = run_all(topo, |ep, ranks| {
+                    if ep.rank() == 1 {
+                        let msg = if wire.compresses() {
+                            Payload::Words(Arc::new(vec![0u16; wrong]))
+                        } else {
+                            Payload::Floats(Arc::new(vec![0.0f32; wrong]))
+                        };
+                        ep.send(0, 1, msg).unwrap();
+                        ep.recv(0, 1).unwrap();
+                        return None;
+                    }
+                    let mut a = vec![1.0f32, 2.0, 3.0];
+                    let mut b = vec![4.0f32, 5.0];
+                    let err =
+                        ring_allreduce_wire(ep, ranks, 1, &mut [&mut a, &mut b], wire).unwrap_err();
+                    Some((err, a, b))
+                });
+                let (err, a, b) = results[0].clone().expect("rank 0 result");
+                assert_eq!(
+                    err,
+                    CommError::LengthMismatch {
+                        expected: 2,
+                        actual: wrong
+                    },
+                    "{wire:?}"
+                );
+                assert_eq!((a, b), (vec![1.0, 2.0, 3.0], vec![4.0, 5.0]));
             }
         }
     }

@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 
-use crate::collectives::chunk_range;
+use crate::collectives::fused_chunk_len;
 use crate::topology::Topology;
 use crate::traffic::{TrafficClass, TrafficSnapshot, TrafficStats};
 use crate::wire::WireFormat;
@@ -75,30 +75,22 @@ impl StaticLedger {
     }
 }
 
-/// Replays a ring AllReduce of `elems` f32 elements over `ranks` under
-/// `tag`: `2(n-1)` steps, each rank sending one near-equal chunk per
-/// step to its ring successor (reduce-scatter then allgather).
-pub fn replay_ring_allreduce(
-    ledger: &StaticLedger,
-    ranks: &[usize],
-    tag: u64,
-    elems: usize,
-) -> Result<()> {
-    replay_ring_allreduce_wire(ledger, ranks, tag, elems, WireFormat::F32)
-}
-
-/// [`replay_ring_allreduce`] under a [`WireFormat`]: identical hop
-/// schedule, `wire.scalar_bytes()` per element instead of 4 — the
-/// exact sizes `collectives::ring_allreduce_wire` puts on the wire.
+/// Replays one ring AllReduce over buffers of `lens` elements under
+/// `wire`: `2(n-1)` steps, each rank sending one message per step to its
+/// ring successor (reduce-scatter then allgather). A step's message is
+/// the concatenation of every buffer's chunk for that step, at
+/// `wire.scalar_bytes()` per element — the exact sizes
+/// `collectives::ring_allreduce_wire` puts on the wire. An empty buffer
+/// list sends nothing.
 pub fn replay_ring_allreduce_wire(
     ledger: &StaticLedger,
     ranks: &[usize],
     tag: u64,
-    elems: usize,
+    lens: &[usize],
     wire: WireFormat,
 ) -> Result<()> {
     let n = ranks.len();
-    if n <= 1 {
+    if n <= 1 || lens.is_empty() {
         return Ok(());
     }
     let ws = wire.scalar_bytes();
@@ -108,12 +100,12 @@ pub fn replay_ring_allreduce_wire(
         // step s sends chunk (pos + 1 - s) mod n — the exact rotation
         // `collectives::ring_allreduce` performs.
         for step in 0..n - 1 {
-            let chunk = chunk_range(elems, n, (pos + n - step) % n).len();
-            ledger.charge(src, dst, tag, ws * chunk as u64)?;
+            let elems = fused_chunk_len(lens, n, (pos + n - step) % n);
+            ledger.charge(src, dst, tag, ws * elems as u64)?;
         }
         for step in 0..n - 1 {
-            let chunk = chunk_range(elems, n, (pos + 1 + n - step) % n).len();
-            ledger.charge(src, dst, tag, ws * chunk as u64)?;
+            let elems = fused_chunk_len(lens, n, (pos + 1 + n - step) % n);
+            ledger.charge(src, dst, tag, ws * elems as u64)?;
         }
     }
     Ok(())
@@ -179,7 +171,7 @@ pub fn replay_broadcast(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collectives::{allgatherv_slices, gather_slices_to, reduce_to, ring_allreduce};
+    use crate::collectives::{allgatherv_slices, gather_slices_to, reduce_to, ring_allreduce_wire};
     use crate::transport::{Endpoint, Payload, Router};
     use parallax_tensor::{IndexedSlices, Tensor};
 
@@ -217,60 +209,68 @@ mod tests {
         assert!(ledger.charge(9, 0, 0, 1).is_err());
     }
 
+    /// Executes one fused ring AllReduce over buffers of `lens` elements
+    /// on every rank of `topo` and returns the measured ledger.
+    fn run_fused_ring(topo: &Topology, lens: &[usize], wire: WireFormat) -> Arc<TrafficStats> {
+        run_all(topo.clone(), |ep, ranks| {
+            let mut bufs: Vec<Vec<f32>> = lens.iter().map(|&len| vec![1.0f32; len]).collect();
+            let mut views: Vec<&mut [f32]> = bufs.iter_mut().map(|b| b.as_mut_slice()).collect();
+            ring_allreduce_wire(ep, ranks, RING_TAG, &mut views, wire).unwrap();
+        })
+    }
+
+    const RING_TAG: u64 = 0x1000_0000_0000_0000;
+
     #[test]
-    fn ring_allreduce_replay_matches_execution_exactly() {
-        // Mixed topologies and lengths (incl. not divisible by n, and a
-        // multi-GPU machine so intra-machine hops show up).
-        for (gpus, len) in [
-            (vec![1, 1, 1, 1], 8usize),
-            (vec![1, 1, 1], 7),
-            (vec![2, 1], 10),
-            (vec![2, 2, 1], 13),
-            (vec![3], 5),
-        ] {
-            let topo = Topology::new(gpus).unwrap();
-            let tag = 0x1000_0000_0000_0000u64;
-            let measured = run_all(topo.clone(), |ep, ranks| {
-                let mut data = vec![1.0f32; len];
-                ring_allreduce(ep, ranks, tag, &mut data).unwrap();
-            });
-            let ledger = StaticLedger::new(topo.clone());
-            let ranks: Vec<usize> = (0..topo.num_workers()).collect();
-            replay_ring_allreduce(&ledger, &ranks, tag, len).unwrap();
-            assert_eq!(
-                ledger.class_snapshot(TrafficClass::Nccl),
-                measured.class_snapshot(TrafficClass::Nccl),
-                "gpus={:?} len={len}",
-                topo.gpus_per_machine()
-            );
+    fn fused_ring_replay_matches_execution_exactly() {
+        // Mixed topologies (incl. multi-GPU machines so intra-machine
+        // hops show up) and buffer sets with lengths 0, below n, not
+        // divisible by n, and a single buffer.
+        for wire in [WireFormat::F32, WireFormat::F16, WireFormat::Bf16] {
+            for (gpus, lens) in [
+                (vec![1, 1, 1, 1], vec![8usize]),
+                (vec![1, 1, 1], vec![7, 0, 2, 11]),
+                (vec![2, 1], vec![10, 1, 0]),
+                (vec![2, 2, 1], vec![13, 4, 3, 0, 26]),
+                (vec![3], vec![5, 2]),
+                (vec![1, 1], vec![0]),
+            ] {
+                let topo = Topology::new(gpus).unwrap();
+                let measured = run_fused_ring(&topo, &lens, wire);
+                let ledger = StaticLedger::new(topo.clone());
+                let ranks: Vec<usize> = (0..topo.num_workers()).collect();
+                replay_ring_allreduce_wire(&ledger, &ranks, RING_TAG, &lens, wire).unwrap();
+                assert_eq!(
+                    ledger.class_snapshot(TrafficClass::Nccl),
+                    measured.class_snapshot(TrafficClass::Nccl),
+                    "wire={wire:?} gpus={:?} lens={lens:?}",
+                    topo.gpus_per_machine()
+                );
+            }
         }
     }
 
     #[test]
-    fn wire_ring_allreduce_replay_matches_execution_exactly() {
-        use crate::collectives::ring_allreduce_wire;
+    fn per_buffer_ring_replay_fails_against_a_fused_run() {
+        // Seeded defect: a predictor still replaying one ring per buffer
+        // charges the same bytes in 2(n-1) messages per buffer instead of
+        // 2(n-1) in total, so the exactness gate must reject it.
+        let topo = Topology::new(vec![1, 1, 1]).unwrap();
+        let lens = [7usize, 4, 9];
+        let ranks: Vec<usize> = (0..topo.num_workers()).collect();
         for wire in [WireFormat::F32, WireFormat::F16, WireFormat::Bf16] {
-            for (gpus, len) in [
-                (vec![1, 1, 1, 1], 8usize),
-                (vec![2, 1], 10),
-                (vec![2, 2, 1], 13),
-            ] {
-                let topo = Topology::new(gpus).unwrap();
-                let tag = 0x1000_0000_0000_0000u64;
-                let measured = run_all(topo.clone(), |ep, ranks| {
-                    let mut data = vec![1.0f32; len];
-                    ring_allreduce_wire(ep, ranks, tag, &mut data, wire).unwrap();
-                });
-                let ledger = StaticLedger::new(topo.clone());
-                let ranks: Vec<usize> = (0..topo.num_workers()).collect();
-                replay_ring_allreduce_wire(&ledger, &ranks, tag, len, wire).unwrap();
-                assert_eq!(
-                    ledger.class_snapshot(TrafficClass::Nccl),
-                    measured.class_snapshot(TrafficClass::Nccl),
-                    "wire={wire:?} gpus={:?} len={len}",
-                    topo.gpus_per_machine()
-                );
+            let measured = run_fused_ring(&topo, &lens, wire).class_snapshot(TrafficClass::Nccl);
+            let stale = StaticLedger::new(topo.clone());
+            for &len in &lens {
+                replay_ring_allreduce_wire(&stale, &ranks, RING_TAG, &[len], wire).unwrap();
             }
+            let stale = stale.class_snapshot(TrafficClass::Nccl);
+            assert_eq!(stale.total_network_bytes(), measured.total_network_bytes());
+            assert_ne!(stale, measured, "wire={wire:?}: stale replay passed");
+            assert_eq!(
+                stale.inter_messages,
+                lens.len() as u64 * measured.inter_messages
+            );
         }
     }
 
@@ -402,7 +402,7 @@ mod tests {
     fn single_rank_replays_are_silent() {
         let topo = Topology::new(vec![1]).unwrap();
         let ledger = StaticLedger::new(topo);
-        replay_ring_allreduce(&ledger, &[0], 1, 100).unwrap();
+        replay_ring_allreduce_wire(&ledger, &[0], 1, &[100], WireFormat::F32).unwrap();
         replay_allgatherv(&ledger, &[0], 1, &[400]).unwrap();
         assert_eq!(ledger.snapshot().inter_messages, 0);
         assert_eq!(ledger.snapshot().intra_messages, 0);

@@ -82,10 +82,9 @@ pub const NS_RESPONSE: u64 = 0x8000_0000_0000_0000;
 /// What a wire tag says about the message travelling under it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TagClass {
-    /// Ring-AllReduce traffic for `var` in `iter`.
+    /// The fused ring AllReduce of `iter` (one ring carries every dense
+    /// AllReduce gradient, so the tag names no variable).
     Collective {
-        /// Variable index from the tag's header bits.
-        var: usize,
         /// Iteration from the tag's low bits.
         iter: u64,
     },
@@ -146,7 +145,9 @@ pub fn classify_tag(tag: u64) -> TagClass {
     }
     match tag >> 60 {
         0x4 => TagClass::Request { iter },
-        0x1 => TagClass::Collective { var, iter },
+        // Only the iteration bits may be set: a tag carrying header
+        // bits is not one the fused ring mints.
+        0x1 if tag >> ITER_BITS == NS_COLLECTIVE >> ITER_BITS => TagClass::Collective { iter },
         0x2 => TagClass::LocalAgg { var, iter },
         0x3 => TagClass::Gatherv { var, iter },
         _ => TagClass::Unknown,
@@ -462,7 +463,7 @@ impl SessionValidator {
             ));
         }
         let (kind, var, part, iter) = match classify_tag(tag) {
-            TagClass::Collective { var, iter } => (WireKind::Collective, var, 0, iter),
+            TagClass::Collective { iter } => (WireKind::Collective, 0, 0, iter),
             TagClass::Gatherv { var, iter } => (WireKind::Gatherv, var, 0, iter),
             TagClass::LocalAgg { var, iter } => (WireKind::LocalAgg, var, 0, iter),
             TagClass::Response {
@@ -611,8 +612,13 @@ mod tests {
     #[test]
     fn classify_covers_every_namespace() {
         assert_eq!(
+            classify_tag(NS_COLLECTIVE | 9),
+            TagClass::Collective { iter: 9 }
+        );
+        // A per-variable ring tag (header bits set) is no longer minted.
+        assert_eq!(
             classify_tag(NS_COLLECTIVE | pack(KIND_PUSH_DENSE, 5, 0, 9)),
-            TagClass::Collective { var: 5, iter: 9 }
+            TagClass::Unknown
         );
         assert_eq!(
             classify_tag(NS_GATHERV | pack(KIND_PUSH_DENSE, 5, 0, 9)),

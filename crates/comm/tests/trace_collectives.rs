@@ -31,7 +31,7 @@ fn collective_spans_cross_check_traffic_bytes() {
                     &format!("worker{}", ep.rank()),
                 );
                 let mut data = vec![ep.rank() as f32; 16];
-                ring_allreduce(&mut ep, ranks, 0x1000_0000_0000_0000, &mut data).unwrap();
+                ring_allreduce(&mut ep, ranks, 0x1000_0000_0000_0000, &mut [&mut data]).unwrap();
                 let local = vec![1.0; ep.rank() + 1];
                 let parts = allgatherv(&mut ep, ranks, 0x3000_0000_0000_0000, local).unwrap();
                 assert_eq!(parts.len(), machines);

@@ -716,6 +716,7 @@ pub fn predict_iteration_traffic(
     }
 
     // ---- Exchange phase: AllReduce / AllGatherv -----------------------
+    let mut ring_lens = Vec::new();
     for var in plan.ar_vars() {
         let present = grads_by_worker
             .iter()
@@ -759,13 +760,7 @@ pub fn predict_iteration_traffic(
                 Grad::Dense(t) => t.data().len(),
                 Grad::Sparse(s) => s.dense_rows() * s.cols(),
             };
-            replay_ring_allreduce_wire(
-                &ledger,
-                &worker_ranks,
-                protocol::allreduce_tag(var.index(), iter0),
-                elems,
-                config.wire_format,
-            )?;
+            ring_lens.push(elems);
             if workers > 1 {
                 // Each element crosses every rank boundary twice (reduce-
                 // scatter + allgather) at the wire scalar width.
@@ -774,6 +769,14 @@ pub fn predict_iteration_traffic(
             }
         }
     }
+    // Every ring-bound gradient shares the iteration's one fused ring.
+    replay_ring_allreduce_wire(
+        &ledger,
+        &worker_ranks,
+        protocol::allreduce_tag(iter0),
+        &ring_lens,
+        config.wire_format,
+    )?;
 
     // ---- Exchange phase: Parameter Server pushes ----------------------
     let widx_of = |rank: usize| -> usize {

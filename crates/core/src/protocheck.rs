@@ -256,49 +256,49 @@ pub fn derive_session(
     }
 
     // ---- Exchange phase: ring collectives -----------------------------
-    if nworkers > 1 {
-        for &var in &ar_vars {
-            let v = var.index();
-            for i in 0..nworkers {
-                let from = workers[i];
-                let to = workers[(i + 1) % nworkers];
-                // Ring AllReduce: 2(N-1) steps, every step each worker
-                // sends one chunk to ring-next under one reused tag.
-                let steps = 2 * (nworkers as u64 - 1);
+    if nworkers > 1 && !ar_vars.is_empty() {
+        let deps_of = |w: usize| pull_resps.get(&w).cloned().unwrap_or_default();
+        for i in 0..nworkers {
+            let from = workers[i];
+            let to = workers[(i + 1) % nworkers];
+            // One fused ring AllReduce per iteration carries every dense
+            // (or densified) gradient: 2(N-1) steps, every step each
+            // worker sends one message to ring-next under the
+            // iteration's single collective tag.
+            let steps = 2 * (nworkers as u64 - 1);
+            let mut e = base_event(
+                Phase::Exchange,
+                from,
+                to,
+                WireKind::Collective,
+                0,
+                0,
+                steps,
+                format!("fused AllReduce ring step {from} -> {to}"),
+            );
+            e.tag_uses = steps;
+            e.deps = deps_of(from);
+            events.push(e);
+            coll_of.entry(from).or_default().push(events.len() - 1);
+            for &var in ar_vars.iter().filter(|v| gatherv.contains(&v.index())) {
+                // Sparse gradients in pure-AR mode ride AllGatherv
+                // instead: N-1 ring steps under the MPI-classified tag.
+                let v = var.index();
+                let steps = nworkers as u64 - 1;
                 let mut e = base_event(
                     Phase::Exchange,
                     from,
                     to,
-                    WireKind::Collective,
+                    WireKind::Gatherv,
                     v,
                     0,
                     steps,
-                    format!("AllReduce ring step for '{}'", name_of(v)),
+                    format!("AllGatherv ring step for '{}'", name_of(v)),
                 );
                 e.tag_uses = steps;
-                e.deps = pull_resps.get(&from).cloned().unwrap_or_default();
+                e.deps = deps_of(from);
                 events.push(e);
                 coll_of.entry(from).or_default().push(events.len() - 1);
-                if gatherv.contains(&v) {
-                    // The same variable rides AllGatherv when its
-                    // gradient arrives sparse (pure-AR mode): N-1 ring
-                    // steps under the MPI-classified tag.
-                    let steps = nworkers as u64 - 1;
-                    let mut e = base_event(
-                        Phase::Exchange,
-                        from,
-                        to,
-                        WireKind::Gatherv,
-                        v,
-                        0,
-                        steps,
-                        format!("AllGatherv ring step for '{}'", name_of(v)),
-                    );
-                    e.tag_uses = steps;
-                    e.deps = pull_resps.get(&from).cloned().unwrap_or_default();
-                    events.push(e);
-                    coll_of.entry(from).or_default().push(events.len() - 1);
-                }
             }
         }
     }
@@ -1067,18 +1067,22 @@ pub fn check_fault_plan(spec: &SessionSpec, faults: &FaultPlan) -> VerifyReport 
                     .iter()
                     .find(|e| e.from == *from && e.to == *to && e.tag_uses > 1)
                 {
-                    report.push(
-                        Diagnostic::error(
-                            DiagCode::C005,
-                            format!(
-                                "the fault plan duplicates a message on link {from} -> {to}, \
-                                 whose event '{}' reuses one tag for {} messages: the \
-                                 duplicate would merge into the FIFO stream undetected",
-                                e.label, e.tag_uses
-                            ),
-                        )
-                        .for_var(e.var),
+                    let d = Diagnostic::error(
+                        DiagCode::C005,
+                        format!(
+                            "the fault plan duplicates a message on link {from} -> {to}, \
+                             whose event '{}' reuses one tag for {} messages: the \
+                             duplicate would merge into the FIFO stream undetected",
+                            e.label, e.tag_uses
+                        ),
                     );
+                    // The fused ring carries every AllReduce variable, so
+                    // its diagnostic names none.
+                    report.push(if e.kind == WireKind::Collective {
+                        d
+                    } else {
+                        d.for_var(e.var)
+                    });
                 }
             }
             _ => {}
@@ -1321,13 +1325,21 @@ mod tests {
 
     #[test]
     fn duplicate_fault_on_ring_link_is_c005() {
+        use parallax_comm::protocheck::SessionValidator;
+        use parallax_ps::protocol;
         let config = ParallaxConfig::default();
-        let (_g, _topo, _plan, spec) = derive(&config);
-        let ring = spec
+        let (g, _topo, _plan, spec) = derive(&config);
+        // One fused ring link per worker, reusing the iteration's single
+        // collective tag for all 2(N-1) steps.
+        let rings: Vec<&MsgEvent> = spec
             .events
             .iter()
-            .find(|e| e.kind == WireKind::Collective)
-            .expect("hybrid plan has ring traffic");
+            .filter(|e| e.kind == WireKind::Collective)
+            .collect();
+        assert_eq!(rings.len(), spec.workers.len());
+        let steps = 2 * (spec.workers.len() as u64 - 1);
+        assert!(rings.iter().all(|e| e.tag_uses == steps && e.var == 0));
+        let ring = rings[0];
         let faults = FaultPlan::new().with(FaultAction::DuplicateMessage {
             from: ring.from,
             to: ring.to,
@@ -1335,6 +1347,32 @@ mod tests {
         });
         let report = check_fault_plan(&spec, &faults);
         assert!(report.has_code(DiagCode::C005), "{}", report.render());
+        // The runner refuses the plan before any message moves.
+        let (_, loss, profile) = model();
+        let err = crate::runner::get_runner(
+            g,
+            loss,
+            vec![2, 2],
+            ParallaxConfig {
+                fault_plan: faults,
+                ..config.clone()
+            },
+            profile,
+        )
+        .err()
+        .expect("a duplicate on the ring link must be refused");
+        assert!(err.to_string().contains("C005"), "{err}");
+        // The runtime validator accepts the fused ring's tag on its link
+        // only, and rejects a per-variable ring tag outright.
+        let v = SessionValidator::from_spec(&spec);
+        v.check(ring.from, ring.to, protocol::allreduce_tag(3), None)
+            .unwrap();
+        assert!(v
+            .check(ring.to, ring.from, protocol::allreduce_tag(3), None)
+            .is_err());
+        let per_var =
+            protocol::allreduce_tag(3) | protocol::pack(protocol::ReqKind::PushDense, 1, 0, 3);
+        assert!(v.check(ring.from, ring.to, per_var, None).is_err());
         // The same duplicate on a dedup-guarded request link is safe.
         let req = spec
             .events

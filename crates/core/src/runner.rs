@@ -1141,7 +1141,7 @@ impl Runner {
                 let _fwd = parallax_trace::span(parallax_trace::SpanCat::Phase, "phase.forward");
                 session.forward_into(&feed, &mut ctx, &mut acts)?;
             }
-            let grads = {
+            let mut grads = {
                 let _bwd = parallax_trace::span(parallax_trace::SpanCat::Phase, "phase.backward");
                 backward(&self.graph, &acts, self.loss)?
             };
@@ -1185,30 +1185,43 @@ impl Runner {
 
             // AllReduce path: dense via ring AllReduce, sparse via
             // AllGatherv; every replica applies the identical aggregate.
-            let mut sq_norm = 0.0f64;
+            // AR and PS variables are disjoint, so the AR gradients can
+            // be moved out of `grads`.
+            let mut ar_grads: Vec<(VarId, Grad)> = Vec::with_capacity(ar_vars.len());
             for &var in ar_vars {
-                let Some(grad) = grads.get(&var) else {
+                let Some(grad) = grads.remove(&var) else {
                     continue;
                 };
                 // Sparse gradients densify onto the ring unless this
                 // variable is in pure-AR AllGatherv mode (Horovod).
-                let densified;
-                let grad = if grad.is_sparse() && !gatherv_vars.contains(&var) {
-                    densified = Grad::Dense(grad.to_dense());
-                    &densified
-                } else {
-                    grad
+                let grad = match grad {
+                    Grad::Sparse(_) if !gatherv_vars.contains(&var) => Grad::Dense(grad.to_dense()),
+                    grad => grad,
                 };
+                ar_grads.push((var, grad));
+            }
+            // Every dense gradient rides one fused ring per iteration.
+            let mut ring: Vec<&mut [f32]> = ar_grads
+                .iter_mut()
+                .filter_map(|(_, grad)| match grad {
+                    Grad::Dense(t) => Some(t.data_mut()),
+                    Grad::Sparse(_) => None,
+                })
+                .collect();
+            collectives::ring_allreduce_wire(
+                endpoint,
+                &worker_ranks,
+                protocol::allreduce_tag(iter as u64),
+                &mut ring,
+                self.config.wire_format,
+            )?;
+            // Apply in `ar_vars` order, exchanging AllGatherv variables
+            // inline, so the optimizer applies and the norm sum keep
+            // their order.
+            let mut sq_norm = 0.0f64;
+            for (var, grad) in ar_grads {
                 match grad {
-                    Grad::Dense(t) => {
-                        let mut agg = t.clone();
-                        collectives::ring_allreduce_tensor_wire(
-                            endpoint,
-                            &worker_ranks,
-                            protocol::allreduce_tag(var.index(), iter as u64),
-                            &mut agg,
-                            self.config.wire_format,
-                        )?;
+                    Grad::Dense(mut agg) => {
                         if self.config.average_dense {
                             // Multiply by the reciprocal, matching the
                             // server's `Grad::scale(1.0 / workers)`, so a
@@ -1233,7 +1246,7 @@ impl Runner {
                             endpoint,
                             &worker_ranks,
                             mpi_tag(var.index(), iter as u64),
-                            s.clone(),
+                            s,
                             self.config.wire_format,
                         )?;
                         // Canonical machine-blocked fold shared with the

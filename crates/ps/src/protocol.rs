@@ -106,9 +106,11 @@ pub fn local_agg_tag(var: usize, iter: u64) -> u64 {
     0x2000_0000_0000_0000 | pack(ReqKind::PushDense, var, 0, iter)
 }
 
-/// Tag space for AllReduce collectives per variable, disjoint from PS tags.
-pub fn allreduce_tag(var: usize, iter: u64) -> u64 {
-    0x1000_0000_0000_0000 | pack(ReqKind::PushDense, var, 0, iter)
+/// The single tag of iteration `iter`'s fused ring AllReduce, which
+/// carries every dense (or densified) AllReduce gradient in one ring.
+/// Disjoint from the PS tags; only the iteration bits are set.
+pub fn allreduce_tag(iter: u64) -> u64 {
+    0x1000_0000_0000_0000 | (iter & ((1 << ITER_BITS) - 1))
 }
 
 const FLOW_RANK_BITS: u64 = 10;
@@ -161,7 +163,7 @@ mod tests {
         let r = request_tag(5);
         let resp = response_tag(ReqKind::PullDense, 1, 0, 5);
         let agg = local_agg_tag(1, 5);
-        let ar = allreduce_tag(1, 5);
+        let ar = allreduce_tag(5);
         let tags = [r, resp, agg, ar];
         for (i, a) in tags.iter().enumerate() {
             for (j, b) in tags.iter().enumerate() {

@@ -42,16 +42,20 @@ fn every_produced_tag_classifies_to_its_namespace() {
     let vars = [0usize, 17, MAX_VARS];
     let parts = [0usize, 255, MAX_PARTS];
     let iters = [0u64, 12345, (1 << 30) - 1];
+    for &iter in &iters {
+        assert_eq!(
+            classify_tag(protocol::request_tag(iter)),
+            TagClass::Request { iter },
+        );
+        // One fused ring per iteration: the tag carries only the
+        // iteration.
+        assert_eq!(
+            classify_tag(protocol::allreduce_tag(iter)),
+            TagClass::Collective { iter },
+        );
+    }
     for &var in &vars {
         for &iter in &iters {
-            assert_eq!(
-                classify_tag(protocol::request_tag(iter)),
-                TagClass::Request { iter },
-            );
-            assert_eq!(
-                classify_tag(protocol::allreduce_tag(var, iter)),
-                TagClass::Collective { var, iter },
-            );
             assert_eq!(
                 classify_tag(protocol::local_agg_tag(var, iter)),
                 TagClass::LocalAgg { var, iter },

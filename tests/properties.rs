@@ -55,7 +55,7 @@ proptest! {
             let mut data: Vec<f32> = (0..len)
                 .map(|i| ((ep.rank() * 31 + i * 7 + seed as usize) % 13) as f32 - 6.0)
                 .collect();
-            ring_allreduce(ep, ranks, 1, &mut data).expect("allreduce");
+            ring_allreduce(ep, ranks, 1, &mut [&mut data]).expect("allreduce");
             data
         });
         let workers = machines * gpus;
