@@ -199,9 +199,11 @@ fn main() {
     }
     if which == "straggler" {
         let model = flag_value("--model").unwrap_or_else(|| "lm".to_string());
+        // Nine iterations give the best-of skew measurement enough
+        // samples to find an uncrowded iteration for every machine.
         let iters: usize = flag_value("--iters")
             .and_then(|s| s.parse().ok())
-            .unwrap_or(3);
+            .unwrap_or(9);
         let factors: Vec<f64> = flag_value("--factors")
             .unwrap_or_else(|| "1,2,3".to_string())
             .split(',')

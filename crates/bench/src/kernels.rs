@@ -34,19 +34,76 @@ fn best_of_interleaved(
     (best_opt, best_base)
 }
 
+/// Which multiply a row times.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Form {
+    /// `matmul`: `a` is `m x k`, `b` is `k x n`.
+    AB,
+    /// `matmul_at_b`: `a` is `k x m`, `b` is `k x n`.
+    AtB,
+    /// `matmul_a_bt`: `a` is `m x k`, `b` is `n x k`.
+    ABt,
+}
+
+impl Form {
+    /// The `ops` function name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Form::AB => "matmul",
+            Form::AtB => "matmul_at_b",
+            Form::ABt => "matmul_a_bt",
+        }
+    }
+
+    /// Random operands for an `m x n` output reducing over `k`.
+    fn operands(self, m: usize, k: usize, n: usize, rng: &mut DetRng) -> (Tensor, Tensor) {
+        let (a, b) = match self {
+            Form::AB => ([m, k], [k, n]),
+            Form::AtB => ([k, m], [k, n]),
+            Form::ABt => ([m, k], [n, k]),
+        };
+        (Tensor::randn(a, 1.0, rng), Tensor::randn(b, 1.0, rng))
+    }
+
+    /// The packed library kernel.
+    fn blocked(self, a: &Tensor, b: &Tensor) -> Tensor {
+        match self {
+            Form::AB => ops::matmul(a, b),
+            Form::AtB => ops::matmul_at_b(a, b),
+            Form::ABt => ops::matmul_a_bt(a, b),
+        }
+        .expect("blocked kernel")
+    }
+
+    /// The scalar reference kernel.
+    fn naive(self, a: &Tensor, b: &Tensor) -> Tensor {
+        match self {
+            Form::AB => naive::matmul(a, b),
+            Form::AtB => naive::matmul_at_b(a, b),
+            Form::ABt => naive::matmul_a_bt(a, b),
+        }
+        .expect("naive kernel")
+    }
+}
+
 /// One matmul comparison row.
 pub struct MatmulRow {
     /// Workload label (which model preset the shape is drawn from).
     pub name: &'static str,
-    /// `a` is `m x k`, `b` is `k x n`.
+    /// Which multiply.
+    pub form: Form,
+    /// Output rows.
     pub m: usize,
-    /// Inner dimension.
+    /// Reduction length.
     pub k: usize,
     /// Output columns.
     pub n: usize,
-    /// Best scalar-reference time, seconds.
+    /// Calls per timed repetition (small shapes loop to stay above
+    /// timer resolution); the times below are per call.
+    pub calls: usize,
+    /// Best scalar-reference time per call, seconds.
     pub naive_secs: f64,
-    /// Best blocked-kernel time, seconds.
+    /// Best blocked-kernel time per call, seconds.
     pub blocked_secs: f64,
 }
 
@@ -112,49 +169,106 @@ fn hashmap_coalesce(slices: &IndexedSlices) -> IndexedSlices {
     IndexedSlices::new(keys, values, slices.dense_rows()).expect("valid coalesced slices")
 }
 
-/// Matmul shapes drawn from the executed model presets: the ResNet
-/// block GEMM (batch x width), the LM projection, the LM softmax logits
-/// GEMM, and the square size the acceptance gate measures.
-const MATMUL_SHAPES: [(&str, usize, usize, usize); 4] = [
-    ("square_256", 256, 256, 256),
-    ("resnet_block_64x256x256", 64, 256, 256),
-    ("lm_projection_160x512x512", 160, 512, 512),
-    ("lm_logits_128x256x1024", 128, 256, 1024),
+/// Large matmul shapes: the ResNet block GEMM (batch x width), the LM
+/// projection, the LM softmax logits GEMM, and the square size the
+/// acceptance gate measures.
+const MATMUL_SHAPES: [(&str, Form, usize, usize, usize); 4] = [
+    ("square_256", Form::AB, 256, 256, 256),
+    ("resnet_block_64x256x256", Form::AB, 64, 256, 256),
+    ("lm_projection_160x512x512", Form::AB, 160, 512, 512),
+    ("lm_logits_128x256x1024", Form::AB, 128, 256, 1024),
 ];
 
+/// Every multiply one training step of the LM `small` (batch 8) and
+/// ResNet `small` (batch 32) presets runs, as `(m, k, n)` of the
+/// output and reduction: forward, input gradient (`_dx`) and weight
+/// gradient (`_dw`) of each layer. These are the shapes the repository
+/// benchmark's `lm-sparse`, `resnet-dense` and `serve-lm-open`
+/// workloads spend their kernel time in.
+const STEP_SHAPES: [(&str, Form, usize, usize, usize); 21] = [
+    ("lm_lstm", Form::AB, 8, 48, 128),
+    ("lm_lstm_dconcat", Form::ABt, 8, 128, 48),
+    ("lm_lstm_dw", Form::AtB, 48, 8, 128),
+    ("lm_proj", Form::AB, 8, 32, 16),
+    ("lm_proj_dx", Form::ABt, 8, 16, 32),
+    ("lm_proj_dw", Form::AtB, 32, 8, 16),
+    ("lm_logits", Form::ABt, 8, 16, 48),
+    ("lm_logits_dx", Form::AB, 8, 48, 16),
+    ("lm_logits_dcand", Form::AtB, 48, 8, 16),
+    ("resnet_stem", Form::AB, 32, 64, 48),
+    ("resnet_stem_dx", Form::ABt, 32, 48, 64),
+    ("resnet_stem_dw", Form::AtB, 64, 32, 48),
+    ("resnet_fc1", Form::AB, 32, 48, 16),
+    ("resnet_fc1_dx", Form::ABt, 32, 16, 48),
+    ("resnet_fc1_dw", Form::AtB, 48, 32, 16),
+    ("resnet_fc2", Form::AB, 32, 16, 48),
+    ("resnet_fc2_dx", Form::ABt, 32, 48, 16),
+    ("resnet_fc2_dw", Form::AtB, 16, 32, 48),
+    ("resnet_classifier", Form::AB, 32, 48, 10),
+    ("resnet_classifier_dx", Form::ABt, 32, 10, 48),
+    ("resnet_classifier_dw", Form::AtB, 48, 32, 10),
+];
+
+/// Multiply-adds one timed repetition should cover at least, so that
+/// microsecond kernels are timed over many calls.
+const MIN_PRODUCTS_PER_REP: usize = 1 << 21;
+
 const COALESCE_ALPHAS: [f64; 3] = [0.01, 0.1, 0.5];
+
+/// Cross-checks one multiply bitwise against its scalar reference,
+/// then times both, interleaved.
+fn measure_matmul(
+    reps: usize,
+    rng: &mut DetRng,
+    (name, form, m, k, n): (&'static str, Form, usize, usize, usize),
+) -> MatmulRow {
+    let (a, b) = form.operands(m, k, n, rng);
+    let blocked = form.blocked(&a, &b);
+    let reference = form.naive(&a, &b);
+    assert_eq!(blocked.shape(), reference.shape());
+    assert!(
+        blocked
+            .data()
+            .iter()
+            .zip(reference.data())
+            .all(|(x, y)| x.to_bits() == y.to_bits()),
+        "blocked {} diverged from reference at {name}",
+        form.name()
+    );
+    let calls = MIN_PRODUCTS_PER_REP.div_ceil(m * k * n);
+    let (blocked_secs, naive_secs) = best_of_interleaved(
+        reps,
+        || {
+            for _ in 0..calls {
+                std::hint::black_box(form.blocked(&a, &b));
+            }
+        },
+        || {
+            for _ in 0..calls {
+                std::hint::black_box(form.naive(&a, &b));
+            }
+        },
+    );
+    MatmulRow {
+        name,
+        form,
+        m,
+        k,
+        n,
+        calls,
+        naive_secs: naive_secs / calls as f64,
+        blocked_secs: blocked_secs / calls as f64,
+    }
+}
 
 /// Runs all comparisons. Separated from I/O for testing.
 pub fn measure(reps: usize) -> (Vec<MatmulRow>, Vec<CoalesceRow>) {
     let mut rng = DetRng::seed(0xbe5c);
-    let mut matmuls = Vec::new();
-    for (name, m, k, n) in MATMUL_SHAPES {
-        let a = Tensor::randn([m, k], 1.0, &mut rng);
-        let b = Tensor::randn([k, n], 1.0, &mut rng);
-        // Correctness cross-check before timing anything.
-        assert_eq!(
-            ops::matmul(&a, &b).expect("blocked matmul"),
-            naive::matmul(&a, &b).expect("naive matmul"),
-            "blocked result diverged from reference at {name}"
-        );
-        let (blocked_secs, naive_secs) = best_of_interleaved(
-            reps,
-            || {
-                std::hint::black_box(ops::matmul(&a, &b).unwrap());
-            },
-            || {
-                std::hint::black_box(naive::matmul(&a, &b).unwrap());
-            },
-        );
-        matmuls.push(MatmulRow {
-            name,
-            m,
-            k,
-            n,
-            naive_secs,
-            blocked_secs,
-        });
-    }
+    let matmuls = MATMUL_SHAPES
+        .into_iter()
+        .chain(STEP_SHAPES)
+        .map(|shape| measure_matmul(reps, &mut rng, shape))
+        .collect();
 
     let mut coalesces = Vec::new();
     let rows = 50_000usize;
@@ -198,9 +312,11 @@ pub fn to_json(matmuls: &[MatmulRow], coalesces: &[CoalesceRow], reps: usize) ->
     let matmul = matmuls.iter().map(|r| {
         Value::object([
             ("name", r.name.into()),
+            ("form", r.form.name().into()),
             ("m", r.m.into()),
             ("k", r.k.into()),
             ("n", r.n.into()),
+            ("calls", r.calls.into()),
             ("naive_secs", Value::fixed(r.naive_secs, 9)),
             ("blocked_secs", Value::fixed(r.blocked_secs, 9)),
             (
@@ -241,7 +357,8 @@ pub fn run(path: &str) -> std::io::Result<()> {
     println!("== Kernel microbenchmarks (best of {reps}, interleaved) ==");
     for r in &matmuls {
         println!(
-            "matmul {:<28} {:>7.2} GF/s naive  {:>7.2} GF/s blocked  ({:.2}x)",
+            "{:<11} {:<28} {:>7.2} GF/s naive  {:>7.2} GF/s blocked  ({:.2}x)",
+            r.form.name(),
             r.name,
             r.flops() / r.naive_secs / 1e9,
             r.flops() / r.blocked_secs / 1e9,
@@ -269,12 +386,19 @@ mod tests {
 
     #[test]
     fn measure_and_render_small() {
+        // `measure` cross-checks every row bitwise against the scalar
+        // reference before timing it, so this also checks each form
+        // on every training-step shape.
         let (m, c) = measure(1);
-        assert_eq!(m.len(), MATMUL_SHAPES.len());
+        assert_eq!(m.len(), MATMUL_SHAPES.len() + STEP_SHAPES.len());
+        for form in [Form::AB, Form::AtB, Form::ABt] {
+            assert!(m.iter().any(|r| r.form == form), "no {} row", form.name());
+        }
         assert_eq!(c.len(), COALESCE_ALPHAS.len());
         let json = to_json(&m, &c, 1);
         assert!(json.contains("\"matmul\""));
         assert!(json.contains("\"coalesce\""));
         assert!(json.contains("square_256"));
+        assert!(json.contains("lm_lstm_dconcat"));
     }
 }

@@ -88,9 +88,11 @@ pub struct TracedRun {
 /// Figures extracted from a measured trace.
 #[derive(Debug, Clone, Copy)]
 pub struct Measured {
-    /// Median over iterations of the per-iteration max/median un-gated
-    /// compute-phase busy time across machines (includes any injected
-    /// straggler delay; robust to single-iteration scheduler stalls).
+    /// Best-of max/median un-gated compute-phase busy time across
+    /// machines, each machine timed by its fastest iteration (includes
+    /// any injected straggler delay; robust to iterations where a
+    /// machine was crowded off the host's cores by its peers, see
+    /// [`export::best_of_ratio`]).
     pub skew_ratio: f64,
     /// Mean server idle gap per request, seconds (`ps.wait_ns`).
     pub mean_wait_s: f64,
@@ -178,11 +180,8 @@ pub fn traced_run(
 /// validating the push->serve flow pairing along the way.
 pub fn measure(run: &TracedRun) -> Result<Measured, String> {
     let flow_pairs = export::check_flows(&run.dump)?;
-    let stats = export::compute_skew_stats(&run.dump);
-    if stats.is_empty() {
-        return Err("trace contains no compute-phase spans".into());
-    }
-    let skew_ratio = export::median_ratio(&stats);
+    let skew_ratio =
+        export::best_of_ratio(&run.dump).ok_or("trace contains no compute-phase spans")?;
     let (mean_wait_s, p99_wait_s) = run
         .dump
         .histograms

@@ -26,7 +26,7 @@ use crate::tensor::Tensor;
 use crate::{Result, TensorError};
 
 /// Row count below which the fused row pass is not worth splitting
-/// across the pool (matches the matmul kernels' threshold).
+/// across the pool (matches the matmul kernels' `MIN_ROWS_PER_CHUNK`).
 const MIN_ROWS_PER_CHUNK: usize = 8;
 
 /// The logistic sigmoid, spelled exactly as the `sigmoid` activation

@@ -1,13 +1,14 @@
 //! Matrix multiplication, transpose and row-gather kernels.
 //!
-//! The multiply kernels are cache-blocked: outputs are computed in
-//! `MR x NR` register tiles, with the B panel for a column block kept
-//! hot in L1 while every row tile streams past it. Within one output
-//! element the reduction over `p` runs ascending into a single
-//! accumulator — exactly the order the scalar reference kernels use —
-//! so blocked results match [`naive`] element-for-element, and the
-//! worker pool (which only splits disjoint output row ranges, see
-//! [`crate::pool`]) leaves results bit-for-bit identical to serial
+//! Every multiply, whatever its size, runs one packed kernel: outputs
+//! are computed in `MR x NR` register tiles, with the B panel for a
+//! column block kept hot in L1 while every row tile streams past it.
+//! Within one output element the reduction over `p` runs ascending into
+//! a single accumulator — exactly the order the scalar reference
+//! kernels use — so packed results match [`naive`] element-for-element.
+//! Problem size decides only whether the rows are split across the
+//! worker pool; the pool only splits disjoint output row ranges (see
+//! [`crate::pool`]), so results are bit-for-bit identical to serial
 //! execution at any thread count.
 
 use crate::pool;
@@ -21,11 +22,10 @@ const MR: usize = 4;
 const NR: usize = 16;
 /// Row count below which a matmul is not worth splitting across the pool.
 const MIN_ROWS_PER_CHUNK: usize = 8;
-/// Product count (`m * k * n`) below which the packed kernels lose to a
-/// plain loop: packing writes `m * k + k * NR` floats and performs two
-/// heap allocations per call, which dominates tiny problems (measured
-/// crossover on the dev box; see `DESIGN.md`).
-const SMALL_PRODUCTS: usize = 128 * 1024;
+/// Product count (`m * k * n`) up to which a multiply runs inline on the
+/// calling thread: handing a problem this small to pool workers costs
+/// more in wakeups than the split saves (see `DESIGN.md`).
+const POOL_MIN_PRODUCTS: usize = 128 * 1024;
 
 fn matrix(t: &Tensor, op: &'static str) -> Result<(usize, usize)> {
     t.shape()
@@ -35,6 +35,22 @@ fn matrix(t: &Tensor, op: &'static str) -> Result<(usize, usize)> {
             expected: 2,
             actual: t.shape().rank(),
         })
+}
+
+/// Runs `body(first_row, rows)` over the `m`-row output `out`: inline
+/// for problems of at most [`POOL_MIN_PRODUCTS`] multiply-adds, split
+/// across the pool above that.
+fn for_row_chunks(
+    out: &mut [f32],
+    m: usize,
+    products: usize,
+    body: impl Fn(usize, &mut [f32]) + Sync,
+) {
+    if products <= POOL_MIN_PRODUCTS {
+        body(0, out);
+    } else {
+        pool::parallel_rows(out, m, MIN_ROWS_PER_CHUNK, body);
+    }
 }
 
 /// Dispatches [`matmul_rows_inner`] to an AVX2-compiled copy when the
@@ -61,54 +77,6 @@ unsafe fn matmul_rows_avx2(
     n: usize,
 ) {
     matmul_rows_inner(ad, bd, chunk, row0, k, n);
-}
-
-/// Plain-loop fallback for tiny `A * B` problems, where the packed
-/// kernels' per-call allocations and packing writes dominate. Every
-/// output element still accumulates over `p` ascending into a single
-/// f32, so results are bit-for-bit identical to the packed kernel.
-fn small_matmul(ad: &[f32], bd: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    for i in 0..m {
-        let arow = &ad[i * k..(i + 1) * k];
-        let orow = &mut out[i * n..(i + 1) * n];
-        for (p, &av) in arow.iter().enumerate() {
-            let brow = &bd[p * n..(p + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o += av * bv;
-            }
-        }
-    }
-}
-
-/// Tiny-problem fallback for `A^T * B` (A laid out `[p][i]`); same
-/// ascending-`p` per-element order as the packed kernel.
-fn small_matmul_at_b(ad: &[f32], bd: &[f32], out: &mut [f32], k: usize, m: usize, n: usize) {
-    for p in 0..k {
-        let arow = &ad[p * m..(p + 1) * m];
-        let brow = &bd[p * n..(p + 1) * n];
-        for (i, &av) in arow.iter().enumerate() {
-            let orow = &mut out[i * n..(i + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o += av * bv;
-            }
-        }
-    }
-}
-
-/// Tiny-problem fallback for `A * B^T`: row-by-row dot products, again
-/// reducing over `p` ascending, with no transposed scratch buffer.
-fn small_matmul_a_bt(ad: &[f32], bd: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    for i in 0..m {
-        let arow = &ad[i * k..(i + 1) * k];
-        for j in 0..n {
-            let brow = &bd[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in arow.iter().zip(brow) {
-                acc += av * bv;
-            }
-            out[i * n + j] = acc;
-        }
-    }
 }
 
 /// Packs the `NR`-wide B column panel starting at `j0` into `bpack`
@@ -309,8 +277,8 @@ fn transpose_into(ad: &[f32], out: &mut [f32], m: usize, n: usize) {
     }
 }
 
-/// `A (m x k) * B (k x n) -> (m x n)`, cache-blocked and parallelized
-/// over disjoint output row ranges.
+/// `A (m x k) * B (k x n) -> (m x n)` on the packed kernel; large
+/// problems are parallelized over disjoint output row ranges.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let (m, k) = matrix(a, "matmul lhs")?;
     let (k2, n) = matrix(b, "matmul rhs")?;
@@ -325,13 +293,9 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     if m > 0 && n > 0 {
         let ad = a.data();
         let bd = b.data();
-        if m * k * n <= SMALL_PRODUCTS {
-            small_matmul(ad, bd, &mut out, m, k, n);
-        } else {
-            pool::parallel_rows(&mut out, m, MIN_ROWS_PER_CHUNK, |row0, chunk| {
-                matmul_rows(ad, bd, chunk, row0, k, n);
-            });
-        }
+        for_row_chunks(&mut out, m, m * k * n, |row0, chunk| {
+            matmul_rows(ad, bd, chunk, row0, k, n);
+        });
     }
     Tensor::new([m, n], out)
 }
@@ -352,13 +316,9 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     if m > 0 && n > 0 {
         let ad = a.data();
         let bd = b.data();
-        if m * k * n <= SMALL_PRODUCTS {
-            small_matmul_at_b(ad, bd, &mut out, k, m, n);
-        } else {
-            pool::parallel_rows(&mut out, m, MIN_ROWS_PER_CHUNK, |row0, chunk| {
-                matmul_at_b_rows(ad, bd, chunk, row0, k, m, n);
-            });
-        }
+        for_row_chunks(&mut out, m, m * k * n, |row0, chunk| {
+            matmul_at_b_rows(ad, bd, chunk, row0, k, m, n);
+        });
     }
     Tensor::new([m, n], out)
 }
@@ -381,15 +341,11 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     if m > 0 && n > 0 {
         let ad = a.data();
         let bd = b.data();
-        if m * k * n <= SMALL_PRODUCTS {
-            small_matmul_a_bt(ad, bd, &mut out, m, k, n);
-        } else {
-            let mut bt = vec![0.0f32; k * n];
-            transpose_into(bd, &mut bt, n, k);
-            pool::parallel_rows(&mut out, m, MIN_ROWS_PER_CHUNK, |row0, chunk| {
-                matmul_rows(ad, &bt, chunk, row0, k, n);
-            });
-        }
+        let mut bt = vec![0.0f32; k * n];
+        transpose_into(bd, &mut bt, n, k);
+        for_row_chunks(&mut out, m, m * k * n, |row0, chunk| {
+            matmul_rows(ad, &bt, chunk, row0, k, n);
+        });
     }
     Tensor::new([m, n], out)
 }
@@ -598,16 +554,43 @@ mod tests {
     #[test]
     fn blocked_kernels_match_naive_on_awkward_shapes() {
         // Shapes straddling the MR/NR tile boundaries, including exact
-        // multiples and off-by-one remainders.
+        // multiples, off-by-one remainders and an empty reduction; the
+        // `(m, k, n)` of every multiply the LM `small` and ResNet
+        // `small` training steps run (LSTM 8x48x128 and its `a_bt` with
+        // k = 128, the ResNet 32x{64,48,16}x{48,16,10} layers); and
+        // problems above `POOL_MIN_PRODUCTS`, which the pool may split.
         let mut rng = DetRng::seed(11);
         for &(m, k, n) in &[
             (1, 1, 1),
+            (5, 0, 7),
             (3, 5, 7),
             (4, 8, 8),
             (5, 9, 17),
             (13, 1, 29),
             (16, 32, 8),
             (33, 17, 9),
+            (8, 48, 128),
+            (8, 128, 48),
+            (48, 8, 128),
+            (8, 32, 16),
+            (8, 16, 32),
+            (32, 8, 16),
+            (8, 48, 16),
+            (8, 16, 48),
+            (48, 8, 16),
+            (32, 64, 48),
+            (32, 48, 64),
+            (64, 32, 48),
+            (32, 48, 16),
+            (32, 16, 48),
+            (48, 32, 16),
+            (16, 32, 48),
+            (32, 48, 10),
+            (32, 10, 48),
+            (48, 32, 10),
+            (37, 61, 59),
+            (64, 64, 64),
+            (67, 33, 129),
         ] {
             let a = random(&mut rng, m, k);
             let b = random(&mut rng, k, n);

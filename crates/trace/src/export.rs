@@ -321,13 +321,11 @@ pub fn straggler_stats(dump: &TraceDump) -> Vec<IterStat> {
         .collect()
 }
 
-/// Computes per-iteration max/median machine *busy* (compute-phase)
-/// times from the spans in [`COMPUTE_PHASE_SPANS`]. Per machine, each
-/// worker lane's phase durations are summed and the busiest lane counts
-/// as that machine's time. Unlike [`straggler_stats`] this is not gated
-/// by the synchronization barrier, so an injected straggler shows up
-/// here even when every `iteration` span ends at the same barrier.
-pub fn compute_skew_stats(dump: &TraceDump) -> Vec<IterStat> {
+/// Per-iteration machine *busy* (compute-phase) times from the spans in
+/// [`COMPUTE_PHASE_SPANS`]: `[iter][machine]`. Per machine, each worker
+/// lane's phase durations are summed and the busiest lane counts as
+/// that machine's time.
+fn machine_busy_ns(dump: &TraceDump) -> BTreeMap<u64, BTreeMap<u32, u64>> {
     let mut per_iter: BTreeMap<u64, BTreeMap<u32, BTreeMap<u32, u64>>> = BTreeMap::new();
     for r in &dump.records {
         if r.cat == SpanCat::Phase
@@ -347,10 +345,23 @@ pub fn compute_skew_stats(dump: &TraceDump) -> Vec<IterStat> {
     per_iter
         .into_iter()
         .map(|(iter, machines)| {
-            let busy: BTreeMap<u32, u64> = machines
+            let busy = machines
                 .into_iter()
                 .map(|(m, lanes)| (m, lanes.values().copied().max().unwrap_or(0)))
                 .collect();
+            (iter, busy)
+        })
+        .collect()
+}
+
+/// Computes per-iteration max/median machine busy times (see
+/// [`machine_busy_ns`]). Unlike [`straggler_stats`] this is not gated
+/// by the synchronization barrier, so an injected straggler shows up
+/// here even when every `iteration` span ends at the same barrier.
+pub fn compute_skew_stats(dump: &TraceDump) -> Vec<IterStat> {
+    machine_busy_ns(dump)
+        .into_iter()
+        .map(|(iter, busy)| {
             let (&slowest_machine, &max_ns) = busy
                 .iter()
                 .max_by_key(|(_, &d)| d)
@@ -368,6 +379,28 @@ pub fn compute_skew_stats(dump: &TraceDump) -> Vec<IterStat> {
         .collect()
 }
 
+/// Best-of compute-skew ratio (`None` without compute spans): each
+/// machine's busy time is its minimum over iterations, and the ratio is
+/// the largest of those minima over their upper median. When more
+/// worker threads than cores share a host, a machine's busy time in any
+/// one iteration depends on which peers crowded it; its fastest
+/// iteration is the least crowded sample, so the ratio compares the
+/// machines' own compute costs (an injected straggler scales its own
+/// compute, so it keeps its factor in its fastest iteration too).
+pub fn best_of_ratio(dump: &TraceDump) -> Option<f64> {
+    let mut best: BTreeMap<u32, u64> = BTreeMap::new();
+    for busy in machine_busy_ns(dump).into_values() {
+        for (m, ns) in busy {
+            let b = best.entry(m).or_insert(ns);
+            *b = (*b).min(ns);
+        }
+    }
+    let mut durs: Vec<u64> = best.into_values().collect();
+    durs.sort_unstable();
+    let max = *durs.last()?;
+    Some(max as f64 / durs[durs.len() / 2].max(1) as f64)
+}
+
 /// Aggregate max/median ratio over a stats vector (1.0 when empty):
 /// total max divided by total median, which is more stable than the
 /// mean of per-iteration ratios on noisy hosts.
@@ -379,24 +412,6 @@ pub fn aggregate_ratio(stats: &[IterStat]) -> f64 {
     } else {
         sum_max as f64 / sum_med as f64
     }
-}
-
-/// Upper median of the per-iteration max/median ratios (1.0 when
-/// empty). Where [`aggregate_ratio`] lets one stalled iteration
-/// dominate the whole run, this discards such spikes — on time-shared
-/// hosts a multi-millisecond scheduler stall in a single iteration is
-/// the dominant measurement artifact, so conformance checks compare
-/// against this figure.
-pub fn median_ratio(stats: &[IterStat]) -> f64 {
-    if stats.is_empty() {
-        return 1.0;
-    }
-    let mut ratios: Vec<f64> = stats
-        .iter()
-        .map(|s| s.max_ns as f64 / s.median_ns.max(1) as f64)
-        .collect();
-    ratios.sort_by(|a, b| a.total_cmp(b));
-    ratios[ratios.len() / 2]
 }
 
 fn stat_table(out: &mut String, stats: &[IterStat]) {
@@ -739,6 +754,38 @@ mod tests {
         let skew = compute_skew_stats(&d);
         assert_eq!(skew[0].max_ns, 300);
         assert_eq!(skew[0].slowest_machine, 0);
+    }
+
+    #[test]
+    fn best_of_ratio_uses_each_machines_fastest_iteration() {
+        // Machine 0 straggles 2x its own compute; in iterations 1 and 2
+        // the other machines were crowded and ran slow, which pulls those
+        // iterations' ratios down to 1 but not the best-of ratio.
+        let mut d = TraceDump::default();
+        for (iter, busy) in [[200u64, 100, 100], [240, 240, 240], [240, 250, 250]]
+            .into_iter()
+            .enumerate()
+        {
+            for (m, dur) in busy.into_iter().enumerate() {
+                d.records.push(rec(
+                    SpanCat::Phase,
+                    "phase.forward",
+                    m as u32,
+                    0,
+                    0,
+                    dur,
+                    iter as u64,
+                    0,
+                ));
+            }
+        }
+        let per_iter: Vec<u64> = compute_skew_stats(&d)
+            .iter()
+            .map(|s| s.max_ns / s.median_ns)
+            .collect();
+        assert_eq!(per_iter, [2, 1, 1]);
+        assert_eq!(best_of_ratio(&d), Some(2.0));
+        assert_eq!(best_of_ratio(&TraceDump::default()), None);
     }
 
     #[test]

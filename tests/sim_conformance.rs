@@ -33,8 +33,8 @@ fn tracer_lock() -> MutexGuard<'static, ()> {
     TRACER.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Iterations per traced run: enough for the median-of-iterations skew
-/// measurement to discard a single stalled iteration.
+/// Iterations per traced run: enough for the best-of skew measurement
+/// to find an uncrowded iteration for most machines.
 const ITERS: usize = 4;
 /// The slowdown matrix every preset is checked against.
 const FACTORS: [f64; 3] = [1.0, 2.0, 3.0];
