@@ -10,11 +10,13 @@
 //! validation) is shared, which is what makes the two modes
 //! bitwise-equivalent.
 //!
-//! Each role writes a binary artifact (losses, traffic by class,
-//! traced span bytes, chief replica / server shards) into the spec's
-//! `artifact_dir`; the launcher merges them with the exact folds the
-//! in-process attempt uses ([`mean_worker_losses`],
-//! [`Runner::stitch_final_model`], `TrafficReport::merge_from`).
+//! Each role writes an artifact (losses, traffic by class, traced span
+//! bytes, chief replica / server shards) into the spec's
+//! `artifact_dir` as a tensor container (`parallax_core::snapshot`);
+//! the launcher verifies both of its CRCs and merges the artifacts
+//! with the exact folds the in-process attempt uses
+//! ([`mean_worker_losses`], [`Runner::stitch_final_model`],
+//! `TrafficReport::merge_from`).
 //!
 //! Recovery model: the launcher respawns the *whole fleet* with fresh
 //! ports when a generation fails (a fault-injected kill, a timeout
@@ -40,10 +42,11 @@ use parallax_comm::protocheck::SessionValidator;
 use parallax_comm::{Endpoint, PeerHealth, TrafficSnapshot, TrafficStats, WireFormat};
 use parallax_core::plancheck::predict_iteration_traffic;
 use parallax_core::runner::TrafficReport;
+use parallax_core::snapshot::{Snapshot, Writer};
 use parallax_core::sparsity::estimate_profile;
 use parallax_core::{
-    derive_session, get_runner, mean_worker_losses, ParallaxConfig, RestorePoint, RoleAssignment,
-    RoleOutput, Runner,
+    derive_session, get_runner, mean_worker_losses, CoreError, ParallaxConfig, RestorePoint,
+    RoleAssignment, RoleOutput, Runner,
 };
 use parallax_dataflow::{Feed, Graph, NodeId, VarId, VarStore};
 use parallax_fault::{FaultInjector, FaultPlan};
@@ -212,10 +215,18 @@ impl DistJob {
 
 // ---------------------------------------------------------------------------
 // Role artifacts: the per-process half of a run report, merged by the
-// launcher. Flat little-endian binary, no external serialization dep.
+// launcher. Each is one tensor container (`parallax_core::snapshot`),
+// and reads verify both of its CRCs.
 // ---------------------------------------------------------------------------
 
-const ARTIFACT_MAGIC: &[u8; 8] = b"PLXDART1";
+/// Artifact sections: `u64` scalars and shard keys, `f32` per-iteration
+/// series, the chief's replica and the server shards (tensors named by
+/// position), and one traffic ledger per class.
+const META: &str = "meta";
+const SERIES: &str = "series";
+const STORE: &str = "store";
+const SHARDS: &str = "shards";
+const LEDGERS: [&str; 5] = ["nccl", "mpi", "ps", "local_agg", "other"];
 
 /// What one role process writes on success.
 pub struct RoleArtifact {
@@ -231,8 +242,9 @@ pub struct RoleArtifact {
     pub norms: Vec<f32>,
     /// Worker forward+backward seconds.
     pub compute_secs: f64,
-    /// Chief replica values in graph variable order (chief only).
-    pub store: Option<Vec<Tensor>>,
+    /// Chief replica values in graph variable order (empty for every
+    /// other role).
+    pub store: Vec<Tensor>,
     /// Server shard values `((var index, partition), value)`.
     pub shards: Vec<((u64, u64), Tensor)>,
     /// The process's measured traffic by class (sender-side only, so
@@ -249,249 +261,123 @@ pub fn artifact_name(role: Role) -> String {
     }
 }
 
-fn put_u32(out: &mut Vec<u8>, x: u32) {
-    out.extend_from_slice(&x.to_le_bytes());
+fn ledgers(t: &TrafficReport) -> [&TrafficSnapshot; 5] {
+    [&t.nccl, &t.mpi, &t.ps, &t.local_agg, &t.other]
 }
 
-fn put_u64(out: &mut Vec<u8>, x: u64) {
-    out.extend_from_slice(&x.to_le_bytes());
-}
-
-fn put_f32s(out: &mut Vec<u8>, xs: &[f32]) {
-    put_u32(out, xs.len() as u32);
-    for x in xs {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-}
-
-fn put_tensor(out: &mut Vec<u8>, t: &Tensor) {
-    let dims = t.shape().dims();
-    put_u32(out, dims.len() as u32);
-    for &d in dims {
-        put_u64(out, d as u64);
-    }
-    put_f32s(out, t.data());
-}
-
-fn put_snapshot(out: &mut Vec<u8>, s: &TrafficSnapshot) {
-    put_u32(out, s.out_bytes.len() as u32);
-    for &b in &s.out_bytes {
-        put_u64(out, b);
-    }
-    for &b in &s.in_bytes {
-        put_u64(out, b);
-    }
-    for &b in &s.intra_bytes_per_machine {
-        put_u64(out, b);
-    }
-    let mut links: Vec<(usize, usize, u64)> =
-        s.link_bytes.iter().map(|(&(a, b), &v)| (a, b, v)).collect();
-    links.sort_unstable();
-    put_u32(out, links.len() as u32);
-    for (a, b, v) in links {
-        put_u64(out, a as u64);
-        put_u64(out, b as u64);
-        put_u64(out, v);
-    }
-    put_u64(out, s.inter_messages);
-    put_u64(out, s.intra_messages);
-}
-
-/// Bounded little-endian reader with typed (string) errors — artifact
-/// files are trusted outputs of sibling processes, but truncation from
-/// a killed writer must fail cleanly, never panic.
-struct Cur<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| format!("artifact truncated at byte {}", self.at))?;
-        let s = &self.buf[self.at..end];
-        self.at = end;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f32(&mut self) -> Result<f32, String> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f32s(&mut self) -> Result<Vec<f32>, String> {
-        let n = self.u32()? as usize;
-        let mut v = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            v.push(self.f32()?);
-        }
-        Ok(v)
-    }
-
-    fn tensor(&mut self) -> Result<Tensor, String> {
-        let rank = self.u32()? as usize;
-        let mut dims = Vec::with_capacity(rank.min(16));
-        for _ in 0..rank {
-            dims.push(self.u64()? as usize);
-        }
-        let data = self.f32s()?;
-        Tensor::new(parallax_tensor::Shape::new(dims), data).map_err(|e| e.to_string())
-    }
-
-    fn snapshot(&mut self) -> Result<TrafficSnapshot, String> {
-        let machines = self.u32()? as usize;
-        let mut vecs = [Vec::new(), Vec::new(), Vec::new()];
-        for v in &mut vecs {
-            for _ in 0..machines {
-                v.push(self.u64()?);
-            }
-        }
-        let [out_bytes, in_bytes, intra_bytes_per_machine] = vecs;
-        let n_links = self.u32()? as usize;
-        let mut link_bytes = HashMap::with_capacity(n_links.min(1 << 16));
-        for _ in 0..n_links {
-            let a = self.u64()? as usize;
-            let b = self.u64()? as usize;
-            let v = self.u64()?;
-            link_bytes.insert((a, b), v);
-        }
-        Ok(TrafficSnapshot {
-            out_bytes,
-            in_bytes,
-            link_bytes,
-            intra_bytes_per_machine,
-            inter_messages: self.u64()?,
-            intra_messages: self.u64()?,
-        })
-    }
+fn read_ledger(snap: &Snapshot, section: &str) -> Result<TrafficSnapshot, CoreError> {
+    let link_bytes = snap
+        .u64s(section, "links")?
+        .chunks_exact(3)
+        .map(|l| ((l[0] as usize, l[1] as usize), l[2]))
+        .collect();
+    let [inter_messages, intra_messages] = snap.u64s(section, "messages")?[..] else {
+        return Err(CoreError::Config(format!("{section}: bad message counts")));
+    };
+    Ok(TrafficSnapshot {
+        out_bytes: snap.u64s(section, "out_bytes")?,
+        in_bytes: snap.u64s(section, "in_bytes")?,
+        link_bytes,
+        intra_bytes_per_machine: snap.u64s(section, "intra_bytes")?,
+        inter_messages,
+        intra_messages,
+    })
 }
 
 impl RoleArtifact {
-    /// Serializes the artifact.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(ARTIFACT_MAGIC);
-        let kind: u8 = match self.role {
+    /// Writes the artifact atomically as a tensor container.
+    pub fn write(&self, path: &Path) -> Result<(), String> {
+        let kind = match self.role {
             Role::Chief | Role::Worker { .. } => 0,
             Role::Server { .. } => 1,
         };
-        out.push(kind);
-        put_u32(&mut out, self.role.index() as u32);
-        put_u32(&mut out, self.start_iter as u32);
-        put_u64(&mut out, self.span_bytes);
-        put_f32s(&mut out, &self.losses);
-        put_f32s(&mut out, &self.norms);
-        out.extend_from_slice(&self.compute_secs.to_le_bytes());
-        match &self.store {
-            Some(values) => {
-                out.push(1);
-                put_u32(&mut out, values.len() as u32);
-                for t in values {
-                    put_tensor(&mut out, t);
-                }
-            }
-            None => out.push(0),
+        let keys = self.shards.iter().flat_map(|&((v, p), _)| [v, p]).collect();
+        let mut w = Writer::new();
+        w.u64s(META, "role", vec![kind, self.role.index() as u64])
+            .u64s(META, "start_iter", vec![self.start_iter as u64])
+            .u64s(META, "span_bytes", vec![self.span_bytes])
+            .u64s(META, "compute_secs", vec![self.compute_secs.to_bits()])
+            .u64s(META, "shard_keys", keys)
+            .f32s(SERIES, "losses", &self.losses)
+            .f32s(SERIES, "norms", &self.norms);
+        for (i, t) in self.store.iter().enumerate() {
+            w.tensor(STORE, &i.to_string(), t);
         }
-        put_u32(&mut out, self.shards.len() as u32);
-        for ((var, part), t) in &self.shards {
-            put_u64(&mut out, *var);
-            put_u64(&mut out, *part);
-            put_tensor(&mut out, t);
+        for (i, (_, t)) in self.shards.iter().enumerate() {
+            w.tensor(SHARDS, &i.to_string(), t);
         }
-        for snap in [
-            &self.traffic.nccl,
-            &self.traffic.mpi,
-            &self.traffic.ps,
-            &self.traffic.local_agg,
-            &self.traffic.other,
-        ] {
-            put_snapshot(&mut out, snap);
+        for (section, s) in LEDGERS.into_iter().zip(ledgers(&self.traffic)) {
+            let mut links: Vec<[u64; 3]> = s
+                .link_bytes
+                .iter()
+                .map(|(&(a, b), &v)| [a as u64, b as u64, v])
+                .collect();
+            links.sort_unstable();
+            w.u64s(section, "out_bytes", s.out_bytes.clone())
+                .u64s(section, "in_bytes", s.in_bytes.clone())
+                .u64s(section, "intra_bytes", s.intra_bytes_per_machine.clone())
+                .u64s(section, "links", links.concat())
+                .u64s(
+                    section,
+                    "messages",
+                    vec![s.inter_messages, s.intra_messages],
+                );
         }
-        out
+        w.write(0, path)
+            .map_err(|e| format!("write {}: {e}", path.display()))
     }
 
-    /// Parses an [`RoleArtifact::encode`] buffer.
-    pub fn decode(buf: &[u8]) -> Result<RoleArtifact, String> {
-        let mut c = Cur { buf, at: 0 };
-        if c.take(8)? != ARTIFACT_MAGIC {
-            return Err("bad artifact magic".into());
-        }
-        let kind = c.take(1)?[0];
-        let index = c.u32()? as usize;
-        let role = match kind {
-            0 if index == 0 => Role::Chief,
-            0 => Role::Worker { index },
-            1 => Role::Server { machine: index },
-            other => return Err(format!("bad artifact role kind {other}")),
+    /// Reads an artifact file, verifying both container CRCs.
+    pub fn read(path: &Path) -> Result<RoleArtifact, String> {
+        Self::parse(path).map_err(|e| format!("read {}: {e}", path.display()))
+    }
+
+    fn parse(path: &Path) -> Result<RoleArtifact, CoreError> {
+        let snap = Snapshot::open_verified(path)?;
+        let bad = |what: &str| CoreError::Config(format!("bad artifact {what}"));
+        let scalar = |name: &str| match snap.u64s(META, name)?[..] {
+            [x] => Ok(x),
+            _ => Err(bad(name)),
         };
-        let start_iter = c.u32()? as usize;
-        let span_bytes = c.u64()?;
-        let losses = c.f32s()?;
-        let norms = c.f32s()?;
-        let compute_secs = c.f64()?;
-        let store = match c.take(1)?[0] {
-            0 => None,
-            _ => {
-                let n = c.u32()? as usize;
-                let mut values = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    values.push(c.tensor()?);
-                }
-                Some(values)
-            }
+        let role = match snap.u64s(META, "role")?[..] {
+            [0, 0] => Role::Chief,
+            [0, index] => Role::Worker {
+                index: index as usize,
+            },
+            [1, machine] => Role::Server {
+                machine: machine as usize,
+            },
+            _ => return Err(bad("role")),
         };
-        let n_shards = c.u32()? as usize;
-        let mut shards = Vec::with_capacity(n_shards.min(1 << 16));
-        for _ in 0..n_shards {
-            let var = c.u64()?;
-            let part = c.u64()?;
-            shards.push(((var, part), c.tensor()?));
-        }
-        let traffic = TrafficReport {
-            nccl: c.snapshot()?,
-            mpi: c.snapshot()?,
-            ps: c.snapshot()?,
-            local_agg: c.snapshot()?,
-            other: c.snapshot()?,
+        let tensors = |section: &str, n: usize| -> Result<Vec<Tensor>, CoreError> {
+            (0..n)
+                .map(|i| snap.tensor(section, &i.to_string()))
+                .collect()
         };
+        let keys = snap.u64s(META, "shard_keys")?;
+        let store_len = snap.entries().iter().filter(|e| e.section == STORE).count();
+        let shards = keys
+            .chunks_exact(2)
+            .map(|k| (k[0], k[1]))
+            .zip(tensors(SHARDS, keys.len() / 2)?)
+            .collect();
         Ok(RoleArtifact {
             role,
-            start_iter,
-            span_bytes,
-            losses,
-            norms,
-            compute_secs,
-            store,
+            start_iter: scalar("start_iter")? as usize,
+            span_bytes: scalar("span_bytes")?,
+            losses: snap.tensor(SERIES, "losses")?.into_data(),
+            norms: snap.tensor(SERIES, "norms")?.into_data(),
+            compute_secs: f64::from_bits(scalar("compute_secs")?),
+            store: tensors(STORE, store_len)?,
             shards,
-            traffic,
+            traffic: TrafficReport {
+                nccl: read_ledger(&snap, LEDGERS[0])?,
+                mpi: read_ledger(&snap, LEDGERS[1])?,
+                ps: read_ledger(&snap, LEDGERS[2])?,
+                local_agg: read_ledger(&snap, LEDGERS[3])?,
+                other: read_ledger(&snap, LEDGERS[4])?,
+            },
         })
-    }
-
-    /// Writes the artifact atomically (temp file + rename).
-    pub fn write(&self, path: &Path) -> Result<(), String> {
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.encode()).map_err(|e| format!("write {}: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, path).map_err(|e| format!("rename {}: {e}", path.display()))
-    }
-
-    /// Reads and parses an artifact file.
-    pub fn read(path: &Path) -> Result<RoleArtifact, String> {
-        let buf = std::fs::read(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        Self::decode(&buf)
     }
 }
 
@@ -635,7 +521,11 @@ pub fn role_main(spec_path: &Path, role: Role) -> Result<(), String> {
             losses,
             norms,
             compute_secs,
-            store: (rank == chief_rank).then(|| store.values().to_vec()),
+            store: if rank == chief_rank {
+                store.values().to_vec()
+            } else {
+                Vec::new()
+            },
             shards: Vec::new(),
             traffic: class_report(&traffic),
         },
@@ -646,7 +536,7 @@ pub fn role_main(spec_path: &Path, role: Role) -> Result<(), String> {
             losses: Vec::new(),
             norms: Vec::new(),
             compute_secs: 0.0,
-            store: None,
+            store: Vec::new(),
             shards: shards
                 .into_iter()
                 .map(|((var, part), t)| ((var.index() as u64, part as u64), t))
@@ -799,11 +689,10 @@ fn merge(job: &DistJob, spec: &ClusterSpec, generations: usize) -> Result<Merged
         *slot = l;
     }
 
-    let chief_values = artifacts[0]
-        .store
-        .clone()
-        .ok_or("chief artifact carries no replica store")?;
-    let chief = VarStore::from_values(chief_values);
+    if artifacts[0].store.is_empty() {
+        return Err("chief artifact carries no replica store".into());
+    }
+    let chief = VarStore::from_values(artifacts[0].store.clone());
     let shard_values: Vec<((VarId, usize), Tensor)> = artifacts
         .iter()
         .flat_map(|a| {
@@ -1088,7 +977,7 @@ mod tests {
             losses: vec![1.5, -0.25],
             norms: vec![0.5],
             compute_secs: 1.25,
-            store: Some(vec![Tensor::zeros([2, 2]), Tensor::full([3], 7.0)]),
+            store: vec![Tensor::zeros([2, 2]), Tensor::full([3], 7.0)],
             shards: vec![((4, 1), Tensor::full([2], -1.0))],
             traffic: TrafficReport {
                 nccl: snap(10),
@@ -1100,32 +989,70 @@ mod tests {
         }
     }
 
+    fn temp_path(name: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("parallax_artifact_{}_{name}", std::process::id()))
+    }
+
+    /// Writes `artifact()`, then returns its path and bytes.
+    fn written(name: &str) -> (PathBuf, Vec<u8>) {
+        let path = temp_path(name);
+        artifact().write(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        (path, bytes)
+    }
+
     #[test]
     fn artifact_roundtrips() {
         let a = artifact();
-        let b = RoleArtifact::decode(&a.encode()).unwrap();
+        let (path, _) = written("roundtrip");
+        let b = RoleArtifact::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
         assert_eq!(b.role, Role::Worker { index: 3 });
         assert_eq!(b.start_iter, 2);
         assert_eq!(b.span_bytes, 99);
         assert_eq!(b.losses, a.losses);
         assert_eq!(b.norms, a.norms);
-        assert_eq!(b.compute_secs, a.compute_secs);
-        let store = b.store.unwrap();
-        assert_eq!(store.len(), 2);
-        assert_eq!(store[0].shape().dims(), &[2, 2]);
-        assert_eq!(store[1].data(), &[7.0, 7.0, 7.0]);
+        assert_eq!(b.compute_secs.to_bits(), a.compute_secs.to_bits());
+        assert_eq!(b.store.len(), 2);
+        assert_eq!(b.store[0].shape().dims(), &[2, 2]);
+        assert_eq!(b.store[1].data(), &[7.0, 7.0, 7.0]);
         assert_eq!(b.shards.len(), 1);
-        assert_eq!(b.shards[0].0, (4, 1));
-        assert_eq!(b.traffic.ps, a.traffic.ps);
-        assert_eq!(b.traffic.other.link_bytes, a.traffic.other.link_bytes);
+        assert_eq!(b.shards[0], a.shards[0]);
+        for (got, want) in ledgers(&b.traffic).into_iter().zip(ledgers(&a.traffic)) {
+            assert_eq!(got, want);
+        }
     }
 
     #[test]
     fn truncated_artifact_fails_cleanly() {
-        let bytes = artifact().encode();
+        let (path, bytes) = written("truncated");
         for cut in [0, 5, 9, 20, bytes.len() - 1] {
-            assert!(RoleArtifact::decode(&bytes[..cut]).is_err(), "cut {cut}");
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            assert!(RoleArtifact::read(&path).is_err(), "cut {cut}");
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn flipped_loss_bit_and_appended_byte_are_rejected() {
+        let (path, bytes) = written("corrupt");
+        let loss_at = {
+            let snap = Snapshot::open(&path).unwrap();
+            snap.entries()[snap.find(SERIES, "losses").unwrap()].offset
+        };
+        let mut flipped = bytes.clone();
+        flipped[loss_at] ^= 0x01;
+        std::fs::write(&path, &flipped).unwrap();
+        let err = RoleArtifact::read(&path)
+            .err()
+            .expect("flipped loss bit accepted");
+        assert!(err.contains("data CRC"), "{err}");
+
+        let mut appended = bytes;
+        appended.push(0);
+        std::fs::write(&path, &appended).unwrap();
+        assert!(RoleArtifact::read(&path).is_err(), "appended byte accepted");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

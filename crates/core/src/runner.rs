@@ -26,7 +26,7 @@ use parallax_ps::{
 use parallax_tensor::{sparse::Grad, DetRng, Tensor};
 use parking_lot::Mutex;
 
-use crate::checkpoint::{self, TrainState};
+use crate::checkpoint::{RestorePoint, SlotMap};
 use crate::config::ParallaxConfig;
 use crate::partition::{self, SearchResult};
 use crate::sparsity::SparsityProfile;
@@ -49,32 +49,6 @@ pub fn shard_range(total: usize, workers: usize, worker: usize) -> std::ops::Ran
     let start = worker * base + worker.min(rem);
     let len = base + usize::from(worker < rem);
     start..start + len
-}
-
-/// A loaded checkpoint a recovery attempt resumes from: the variable
-/// values plus any optimizer slot state (velocity/accum) the save
-/// captured, so Momentum/Adagrad resume bitwise, not just SGD.
-///
-/// Public because multi-process roles (`repro dist`) load the chief's
-/// checkpoint themselves at respawn and hand it to
-/// [`Runner::run_role`] — the same type the in-process recovery loop
-/// threads through `run`.
-#[derive(Debug, Clone)]
-pub struct RestorePoint {
-    /// The checkpointed variable values.
-    pub store: VarStore,
-    /// Checkpointed optimizer slot state, keyed `(variable name, slot
-    /// kind)`.
-    pub slots: checkpoint::SlotMap,
-}
-
-impl RestorePoint {
-    /// Loads a checkpoint file into a restore point, returning the step
-    /// it was saved at (the iteration training resumes from).
-    pub fn load(graph: &Graph, path: &std::path::Path) -> Result<(RestorePoint, u64)> {
-        let (store, state, slots) = checkpoint::load_full(graph, path)?;
-        Ok((RestorePoint { store, slots }, state.step))
-    }
 }
 
 /// Which single role one OS process (or one thread of the in-process
@@ -540,7 +514,7 @@ impl Runner {
     /// [`shard_range`] to cut a dataset into disjoint shards).
     ///
     /// When `checkpoint_path` is configured the chief saves a consistent
-    /// checkpoint (variables + step + data-shard cursors) every
+    /// checkpoint (variables, optimizer slots and step) every
     /// `checkpoint_interval` iterations, and on a detected failure — a
     /// fault-injected kill, or any worker/server error surfaced within
     /// the receive deadline — the runner tears the attempt down,
@@ -1000,7 +974,7 @@ impl Runner {
         iter: usize,
     ) -> Result<()> {
         let mut store = local.clone();
-        let mut slots = checkpoint::SlotMap::new();
+        let mut slots = SlotMap::new();
         let kind = optimizer.state_name();
         for var in self.graph.var_ids() {
             let def_shape = self.graph.var_def(var)?.shape.clone();
@@ -1027,16 +1001,13 @@ impl Runner {
             }
         }
         let step = (iter + 1) as u64;
+        let point = RestorePoint { store, slots };
         if let Some(path) = self.config.checkpoint_path.as_ref() {
             let _span = parallax_trace::span(parallax_trace::SpanCat::Phase, "checkpoint.save");
-            let state = TrainState {
-                step,
-                cursors: vec![step; self.topo.num_workers()],
-            };
-            checkpoint::save_full(&self.graph, &store, &state, &slots, path)?;
+            point.save(&self.graph, step, path)?;
         }
         if let Some(path) = self.config.snapshot_path.as_ref() {
-            crate::snapshot::save(&self.graph, &store, step, path)?;
+            crate::snapshot::save(&self.graph, &point.store, step, path)?;
         }
         Ok(())
     }

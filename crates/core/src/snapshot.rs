@@ -1,60 +1,76 @@
-//! Serving snapshots: immutable, mmap-friendly model artifacts.
+//! The tensor container: the one file format for every set of tensors
+//! this repo writes — serving snapshots, training checkpoints
+//! ([`crate::checkpoint`]) and the `repro dist` role artifacts.
 //!
-//! A checkpoint (PLXCKPT3) optimizes for *resuming training*: it
-//! inlines every tensor behind variable-length names, carries optimizer
-//! slots, and is fully deserialized on load. A serving snapshot
-//! optimizes for *loading fast and reading in place*: weights only, and
-//! the weight bytes are never parsed — the loader mmaps the file and
-//! hands out [`TensorView`]s borrowing the mapped pages directly.
-//!
-//! Format v1 (`PLXSNAP1`), all integers little-endian:
+//! Every entry sits in a *section* (`var` for model variables, one
+//! section per optimizer slot kind, and so on), has a name unique
+//! within its section, an element type (`f32` or `u64`) and a shape.
+//! Layout (`PLXSNAP2`), all integers little-endian:
 //!
 //! ```text
-//! magic    8 B   "PLXSNAP1"
-//! crc32    4 B   IEEE CRC32 over the index block only
-//! index_len 4 B  byte length of the index block
-//! index:         step u64, var_count u64, then per variable:
-//!                name_len u64, name bytes, rank u64, dims u64 * rank,
-//!                data_offset u64 (absolute), data_len u64 (bytes)
-//! data:          raw f32 little-endian tensor blocks at the declared
-//!                offsets, each aligned to DATA_ALIGN
+//!  0 magic      8 B  "PLXSNAP2"
+//!  8 index_crc  4 B  CRC32 over bytes [12, 32 + index_len):
+//!                    data_crc, step, index_len and the index
+//! 12 data_crc   4 B  CRC32 over bytes [32 + index_len, EOF)
+//! 16 step       8 B  completed training iterations
+//! 24 index_len  8 B  byte length of the index
+//! 32 index:          entry count u64, then per entry:
+//!                    section_len u64, section bytes, name_len u64,
+//!                    name bytes, dtype u64 (0 = f32, 1 = u64),
+//!                    rank u64, dims u64 * rank,
+//!                    data_offset u64 (absolute), data_len u64 (bytes)
+//!    data:           raw little-endian blocks at the declared offsets,
+//!                    each aligned to DATA_ALIGN; the file ends where
+//!                    the last block ends
 //! ```
 //!
-//! The CRC covers only the index: validating a snapshot therefore
-//! touches a few hundred bytes, never the weight pages — those are
-//! faulted in lazily by the first forward pass that reads them. What
-//! protects the weights is the *range validation*: every declared
-//! `[data_offset, data_offset + data_len)` must sit inside the file
-//! past the index, be 4-byte aligned, match the declared shape's volume
-//! exactly, and overlap no other variable's range. A corrupt or
-//! truncated artifact fails closed at [`Snapshot::open`] instead of
-//! serving garbage rows.
+//! Verification has two levels. [`Snapshot::open`] — the serving path,
+//! timed by the serving benchmarks — checks the header, the index CRC
+//! and every declared range, and never reads the weight pages: those
+//! are faulted in lazily by the first forward pass, read in place
+//! through [`TensorView`]s borrowing the mapped file. Every range must
+//! sit past the index and inside the file, be `DATA_ALIGN`-aligned,
+//! match its shape's volume exactly and overlap no other range, and
+//! the file must end where the last block does. The index parser
+//! bounds every declared count and length by the bytes that remain
+//! before allocating, so a forged index fails closed instead of
+//! panicking. [`Snapshot::open_verified`] — checkpoint restore and
+//! role-artifact reads — also checks the data CRC, so a flipped weight
+//! bit is rejected.
 //!
-//! Saves are atomic (temp file + rename, like checkpoints), so a
-//! serving process re-opening the path mid-publish sees either the old
-//! or the new snapshot, never a torn one — the mechanism behind the
+//! [`Writer::write`] is the one writer: atomic (temp file + rename),
+//! so a process re-opening the path mid-publish sees either the old or
+//! the new file, never a torn one — the mechanism behind the
 //! online-serving staleness bound.
 
 use std::collections::HashMap;
-use std::io::Write as _;
 use std::path::Path;
 
 use parallax_dataflow::{Graph, VarStore};
-use parallax_tensor::{Shape, TensorView};
+use parallax_tensor::{crc32, Shape, Tensor, TensorView};
 
-use crate::checkpoint::crc32;
 use crate::{CoreError, Result};
 
-const MAGIC: &[u8; 8] = b"PLXSNAP1";
+const MAGIC: &[u8; 8] = b"PLXSNAP2";
 
-/// Alignment of every tensor data block, generous enough for any SIMD
-/// load the kernels may issue over a mapped view (a cache line).
+/// Bytes before the index: magic, two CRCs, step, index length.
+const HEADER_LEN: usize = 32;
+
+/// Smallest index entry: section and name lengths, dtype, rank,
+/// offset and length, with empty strings and rank 0.
+const MIN_ENTRY_LEN: usize = 6 * 8;
+
+/// Alignment of every data block, generous enough for any SIMD load
+/// the kernels may issue over a mapped view (a cache line).
 pub const DATA_ALIGN: usize = 64;
 
-// The data section stores raw f32 bytes and the loader reinterprets
-// the mapped pages in place; both sides assume a little-endian host.
+/// The section holding model variables, keyed by graph variable name.
+pub const VAR: &str = "var";
+
+// The data section stores raw little-endian bytes and the loader
+// reinterprets the mapped pages in place as f32s.
 #[cfg(not(target_endian = "little"))]
-compile_error!("PLXSNAP1 zero-copy snapshots require a little-endian target");
+compile_error!("zero-copy tensor containers require a little-endian target");
 
 fn io_err(e: std::io::Error) -> CoreError {
     CoreError::Config(format!("snapshot I/O: {e}"))
@@ -68,17 +84,182 @@ fn align_up(offset: usize, align: usize) -> usize {
     offset.div_ceil(align) * align
 }
 
-/// One variable's entry in a snapshot index.
+fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("8 bytes"))
+}
+
+/// Element type of a container entry, stored in the index as its
+/// discriminant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Dtype {
+    /// IEEE-754 single precision.
+    F32 = 0,
+    /// Unsigned 64-bit integer.
+    U64 = 1,
+}
+
+impl Dtype {
+    fn size(self) -> usize {
+        match self {
+            Dtype::F32 => 4,
+            Dtype::U64 => 8,
+        }
+    }
+}
+
+/// One entry in a container index.
 #[derive(Debug, Clone)]
 pub struct SnapshotEntry {
-    /// Variable name (as declared in the training graph).
+    /// Section the entry belongs to (e.g. [`VAR`]).
+    pub section: String,
+    /// Name, unique within the section.
     pub name: String,
+    /// Element type.
+    pub dtype: Dtype,
     /// Dense shape.
     pub shape: Shape,
     /// Absolute byte offset of the value block in the file.
     pub offset: usize,
-    /// Byte length of the value block (`4 * shape.volume()`).
+    /// Byte length of the value block (`dtype size * shape.volume()`).
     pub len: usize,
+}
+
+enum Data<'a> {
+    F32(&'a [f32]),
+    U64(Vec<u64>),
+}
+
+impl Data<'_> {
+    fn dtype(&self) -> Dtype {
+        match self {
+            Data::F32(_) => Dtype::F32,
+            Data::U64(_) => Dtype::U64,
+        }
+    }
+}
+
+/// A set of tensors assembled for one atomic [`Writer::write`].
+/// Entries keep the order they were added in.
+#[derive(Default)]
+pub struct Writer<'a> {
+    entries: Vec<(String, String, Shape, Data<'a>)>,
+}
+
+impl<'a> Writer<'a> {
+    /// An empty set.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    fn push(&mut self, section: &str, name: &str, shape: Shape, data: Data<'a>) -> &mut Self {
+        self.entries
+            .push((section.into(), name.into(), shape, data));
+        self
+    }
+
+    /// Adds `value` as entry `name` of `section`.
+    pub fn tensor(&mut self, section: &str, name: &str, value: &'a Tensor) -> &mut Self {
+        self.push(
+            section,
+            name,
+            value.shape().clone(),
+            Data::F32(value.data()),
+        )
+    }
+
+    /// Adds `values` as a rank-1 `f32` entry.
+    pub fn f32s(&mut self, section: &str, name: &str, values: &'a [f32]) -> &mut Self {
+        self.push(section, name, Shape::new([values.len()]), Data::F32(values))
+    }
+
+    /// Adds `values` as a rank-1 `u64` entry.
+    pub fn u64s(&mut self, section: &str, name: &str, values: Vec<u64>) -> &mut Self {
+        self.push(section, name, Shape::new([values.len()]), Data::U64(values))
+    }
+
+    /// Writes the set, stamped with `step`, to `path` atomically: a
+    /// sibling temp file is written in full, then renamed over `path`,
+    /// so a crash mid-write leaves the previous file intact.
+    pub fn write(&self, step: u64, path: &Path) -> Result<()> {
+        // The index size depends on names and shapes alone, so data
+        // offsets are known before anything is serialized.
+        let index_len = 8 + self
+            .entries
+            .iter()
+            .map(|(section, name, shape, _)| {
+                MIN_ENTRY_LEN + section.len() + name.len() + 8 * shape.dims().len()
+            })
+            .sum::<usize>();
+        let data_start = HEADER_LEN + index_len;
+        let mut end = data_start;
+        let blocks: Vec<(usize, usize)> = self
+            .entries
+            .iter()
+            .map(|(_, _, shape, data)| {
+                let offset = align_up(end, DATA_ALIGN);
+                end = offset + data.dtype().size() * shape.volume();
+                (offset, end - offset)
+            })
+            .collect();
+
+        let put = |out: &mut Vec<u8>, x: u64| out.extend_from_slice(&x.to_le_bytes());
+        let mut out = Vec::with_capacity(end);
+        out.extend_from_slice(MAGIC);
+        out.extend_from_slice(&[0; 8]); // both CRCs, filled in last
+        put(&mut out, step);
+        put(&mut out, index_len as u64);
+        put(&mut out, self.entries.len() as u64);
+        for ((section, name, shape, data), &(offset, len)) in self.entries.iter().zip(&blocks) {
+            put(&mut out, section.len() as u64);
+            out.extend_from_slice(section.as_bytes());
+            put(&mut out, name.len() as u64);
+            out.extend_from_slice(name.as_bytes());
+            put(&mut out, data.dtype() as u64);
+            put(&mut out, shape.dims().len() as u64);
+            for &d in shape.dims() {
+                put(&mut out, d as u64);
+            }
+            put(&mut out, offset as u64);
+            put(&mut out, len as u64);
+        }
+        debug_assert_eq!(out.len(), data_start);
+        for ((_, _, _, data), &(offset, _)) in self.entries.iter().zip(&blocks) {
+            out.resize(offset, 0);
+            match data {
+                Data::F32(xs) => out.extend(xs.iter().flat_map(|x| x.to_le_bytes())),
+                Data::U64(xs) => out.extend(xs.iter().flat_map(|x| x.to_le_bytes())),
+            }
+        }
+        let data_crc = crc32(&out[data_start..]);
+        out[12..16].copy_from_slice(&data_crc.to_le_bytes());
+        let index_crc = crc32(&out[12..data_start]);
+        out[8..12].copy_from_slice(&index_crc.to_le_bytes());
+
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        std::fs::write(&tmp, &out).map_err(io_err)?;
+        std::fs::rename(&tmp, path).map_err(io_err)
+    }
+}
+
+/// A [`Writer`] holding every variable of `store` (named per `graph`)
+/// in section [`VAR`].
+pub(crate) fn var_writer<'a>(graph: &Graph, store: &'a VarStore) -> Result<Writer<'a>> {
+    let mut writer = Writer::new();
+    for var in graph.var_ids() {
+        let def = graph.var_def(var)?;
+        let value = store.get(var)?;
+        if value.shape() != &def.shape {
+            return Err(CoreError::Config(format!(
+                "variable '{}' has shape {}, graph expects {}",
+                def.name,
+                value.shape(),
+                def.shape
+            )));
+        }
+        writer.tensor(VAR, &def.name, value);
+    }
+    Ok(writer)
 }
 
 /// Writes a weights-only serving snapshot of `store` (named per
@@ -86,70 +267,7 @@ pub struct SnapshotEntry {
 /// atomically (temp file + rename).
 pub fn save(graph: &Graph, store: &VarStore, step: u64, path: &Path) -> Result<()> {
     let _span = parallax_trace::span(parallax_trace::SpanCat::Phase, "snapshot.save");
-    // Index size is fixed by names/shapes alone, so data offsets are
-    // known before serializing.
-    let mut index_len = 8 + 8;
-    for var in graph.var_ids() {
-        let def = graph.var_def(var)?;
-        index_len += 8 + def.name.len() + 8 + 8 * def.shape.dims().len() + 8 + 8;
-    }
-    let mut index = Vec::with_capacity(index_len);
-    index.extend_from_slice(&step.to_le_bytes());
-    index.extend_from_slice(&(graph.variables().len() as u64).to_le_bytes());
-    let data_start = 16 + index_len;
-    let mut cursor = align_up(data_start, DATA_ALIGN);
-    let mut blocks = Vec::with_capacity(graph.variables().len());
-    for var in graph.var_ids() {
-        let def = graph.var_def(var)?;
-        let value = store.get(var)?;
-        if value.shape() != &def.shape {
-            return Err(CoreError::Config(format!(
-                "snapshot variable '{}' has shape {}, graph expects {}",
-                def.name,
-                value.shape(),
-                def.shape
-            )));
-        }
-        let len = value.len() * 4;
-        index.extend_from_slice(&(def.name.len() as u64).to_le_bytes());
-        index.extend_from_slice(def.name.as_bytes());
-        let dims = def.shape.dims();
-        index.extend_from_slice(&(dims.len() as u64).to_le_bytes());
-        for &d in dims {
-            index.extend_from_slice(&(d as u64).to_le_bytes());
-        }
-        index.extend_from_slice(&(cursor as u64).to_le_bytes());
-        index.extend_from_slice(&(len as u64).to_le_bytes());
-        blocks.push((cursor, value));
-        cursor = align_up(cursor + len, DATA_ALIGN);
-    }
-    debug_assert_eq!(index.len(), index_len);
-
-    let total = blocks
-        .last()
-        .map(|&(off, v)| off + v.len() * 4)
-        .unwrap_or(data_start);
-    let mut out = Vec::with_capacity(total);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&crc32(&index).to_le_bytes());
-    out.extend_from_slice(&(index_len as u32).to_le_bytes());
-    out.extend_from_slice(&index);
-    for (offset, value) in blocks {
-        out.resize(offset, 0);
-        for &x in value.data() {
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-    }
-
-    // Distinct temp extension from checkpoints, so a checkpoint and a
-    // snapshot sharing a file stem in one directory never race on the
-    // same temp name.
-    let tmp = path.with_extension("snap-tmp");
-    {
-        let mut file = std::fs::File::create(&tmp).map_err(io_err)?;
-        file.write_all(&out).map_err(io_err)?;
-    }
-    std::fs::rename(&tmp, path).map_err(io_err)?;
+    var_writer(graph, store)?.write(step, path)?;
     parallax_trace::counter("snapshot.published").add(1);
     Ok(())
 }
@@ -270,43 +388,83 @@ fn read_owned(file: &mut std::fs::File, len: usize) -> Result<Backing> {
     Ok(Backing::Owned { buf, len })
 }
 
-/// An open, validated serving snapshot. Variables are exposed as
+/// Bounds-checked reader over the index bytes. Every take is checked
+/// against what remains before anything is sliced or allocated, so a
+/// forged count or length fails closed.
+struct IndexReader<'a> {
+    buf: &'a [u8],
+    at: usize,
+}
+
+impl<'a> IndexReader<'a> {
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.at
+    }
+
+    fn take(&mut self, n: u64) -> Result<&'a [u8]> {
+        let n = usize::try_from(n)
+            .ok()
+            .filter(|&n| n <= self.remaining())
+            .ok_or_else(|| corrupt("index truncated"))?;
+        let slice = &self.buf[self.at..self.at + n];
+        self.at += n;
+        Ok(slice)
+    }
+
+    fn u64(&mut self) -> Result<u64> {
+        self.take(8).map(le_u64)
+    }
+
+    fn usize(&mut self) -> Result<usize> {
+        usize::try_from(self.u64()?).map_err(|_| corrupt("index value exceeds the address space"))
+    }
+
+    fn string(&mut self) -> Result<String> {
+        let len = self.u64()?;
+        String::from_utf8(self.take(len)?.to_vec()).map_err(|_| corrupt("name is not UTF-8"))
+    }
+}
+
+/// An open, validated container. `f32` entries are exposed as
 /// [`TensorView`]s borrowing the mapped file bytes — no weight bytes
-/// are copied or deserialized until a forward pass reads them.
+/// are copied or deserialized until a reader asks for them.
 pub struct Snapshot {
     backing: Backing,
     step: u64,
+    data_start: usize,
+    data_crc: u32,
     entries: Vec<SnapshotEntry>,
-    by_name: HashMap<String, usize>,
-    // Owned `Shape`s views borrow from (entry order).
-    shapes: Vec<Shape>,
+    /// Entry index by section, then name.
+    sections: HashMap<String, HashMap<String, usize>>,
 }
 
 impl std::fmt::Debug for Snapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Snapshot")
             .field("step", &self.step)
-            .field("variables", &self.entries.len())
+            .field("entries", &self.entries.len())
             .field("bytes", &self.backing.bytes().len())
             .finish()
     }
 }
 
 impl Snapshot {
-    /// Opens and validates a snapshot, mmap-ing the artifact read-only
-    /// (falling back to an aligned owned buffer if mapping fails).
+    /// Opens and validates a container, mmap-ing it read-only (falling
+    /// back to an aligned owned buffer if mapping fails).
     ///
-    /// Validation is fail-closed: bad magic, an index CRC mismatch, a
-    /// declared byte range that is misaligned, overlaps another
-    /// variable's range, disagrees with its shape's volume, or runs
-    /// past EOF all reject the artifact.
+    /// Validation is fail-closed but reads only the header and the
+    /// index: bad magic, an index CRC mismatch, a forged count or
+    /// length, a duplicate name within a section, or a declared byte
+    /// range that is misaligned, overlaps another, disagrees with its
+    /// shape's volume or runs past EOF all reject the file. The data
+    /// CRC is left to [`Snapshot::open_verified`].
     pub fn open(path: &Path) -> Result<Snapshot> {
         let _span = parallax_trace::span(parallax_trace::SpanCat::Phase, "snapshot.load");
         let mut file = std::fs::File::open(path).map_err(io_err)?;
         let file_len = file.metadata().map_err(io_err)?.len();
         let file_len =
             usize::try_from(file_len).map_err(|_| corrupt("file larger than the address space"))?;
-        if file_len < 16 {
+        if file_len < HEADER_LEN {
             return Err(corrupt("shorter than the fixed header"));
         }
         #[cfg(unix)]
@@ -319,96 +477,98 @@ impl Snapshot {
 
         let bytes = backing.bytes();
         if &bytes[..8] != MAGIC {
-            return Err(corrupt("bad magic (not a PLXSNAP1 snapshot)"));
+            return Err(corrupt("bad magic (not a PLXSNAP2 container)"));
         }
         let stored_crc = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        let index_len = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")) as usize;
-        let data_start = 16usize
-            .checked_add(index_len)
+        let data_crc = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes"));
+        let step = le_u64(&bytes[16..24]);
+        let data_start = usize::try_from(le_u64(&bytes[24..32]))
+            .ok()
+            .and_then(|len| HEADER_LEN.checked_add(len))
             .filter(|&end| end <= file_len)
             .ok_or_else(|| corrupt("index runs past EOF"))?;
-        let index = &bytes[16..data_start];
-        let actual_crc = crc32(index);
+        let actual_crc = crc32(&bytes[12..data_start]);
         if stored_crc != actual_crc {
             return Err(corrupt(format!(
                 "index CRC mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
             )));
         }
 
-        let mut cursor = 0usize;
-        let take = |cursor: &mut usize, n: usize| -> Result<&[u8]> {
-            if *cursor + n > index.len() {
-                return Err(corrupt("index truncated"));
-            }
-            let slice = &index[*cursor..*cursor + n];
-            *cursor += n;
-            Ok(slice)
+        let mut index = IndexReader {
+            buf: &bytes[HEADER_LEN..data_start],
+            at: 0,
         };
-        let read_u64 = |cursor: &mut usize| -> Result<u64> {
-            let mut buf = [0u8; 8];
-            buf.copy_from_slice(take(cursor, 8)?);
-            Ok(u64::from_le_bytes(buf))
-        };
-
-        let step = read_u64(&mut cursor)?;
-        let count = read_u64(&mut cursor)? as usize;
+        let count = index.usize()?;
+        if count > index.remaining() / MIN_ENTRY_LEN {
+            return Err(corrupt(format!(
+                "index declares {count} entries in {} bytes",
+                index.remaining()
+            )));
+        }
         let mut entries = Vec::with_capacity(count);
-        let mut by_name = HashMap::with_capacity(count);
-        for _ in 0..count {
-            let name_len = read_u64(&mut cursor)? as usize;
-            let name = String::from_utf8(take(&mut cursor, name_len)?.to_vec())
-                .map_err(|_| corrupt("variable name is not UTF-8"))?;
-            let rank = read_u64(&mut cursor)? as usize;
-            if rank > 16 {
-                return Err(corrupt(format!("variable '{name}' has rank {rank}")));
-            }
-            let mut dims = Vec::with_capacity(rank);
-            for _ in 0..rank {
-                dims.push(read_u64(&mut cursor)? as usize);
-            }
+        let mut sections: HashMap<String, HashMap<String, usize>> = HashMap::new();
+        for i in 0..count {
+            let section = index.string()?;
+            let name = index.string()?;
+            let key = format!("'{section}/{name}'");
+            let dtype = match index.u64()? {
+                0 => Dtype::F32,
+                1 => Dtype::U64,
+                other => return Err(corrupt(format!("entry {key} has dtype {other}"))),
+            };
+            let rank = index.u64()?;
+            let dims = index
+                .take(rank.saturating_mul(8))?
+                .chunks_exact(8)
+                .map(|d| usize::try_from(le_u64(d)))
+                .collect::<std::result::Result<Vec<_>, _>>()
+                .map_err(|_| corrupt(format!("entry {key} has a dimension past usize")))?;
             let shape = Shape::new(dims);
-            let offset = read_u64(&mut cursor)? as usize;
-            let len = read_u64(&mut cursor)? as usize;
+            let offset = index.usize()?;
+            let len = index.usize()?;
 
             let volume_bytes = shape
                 .dims()
                 .iter()
-                .try_fold(4usize, |acc, &d| acc.checked_mul(d))
-                .ok_or_else(|| corrupt(format!("variable '{name}' shape overflows")))?;
+                .try_fold(dtype.size(), |acc, &d| acc.checked_mul(d))
+                .ok_or_else(|| corrupt(format!("entry {key} shape overflows")))?;
             if len != volume_bytes {
                 return Err(corrupt(format!(
-                    "variable '{name}' declares {len} bytes but shape {shape} needs {volume_bytes}"
-                )));
-            }
-            if !offset.is_multiple_of(4) {
-                return Err(corrupt(format!(
-                    "variable '{name}' data offset {offset} is not 4-byte aligned"
+                    "entry {key} declares {len} bytes but shape {shape} needs {volume_bytes}"
                 )));
             }
             if offset < data_start {
                 return Err(corrupt(format!(
-                    "variable '{name}' data range starts inside the index"
+                    "entry {key} data range starts inside the index"
+                )));
+            }
+            if !offset.is_multiple_of(DATA_ALIGN) {
+                return Err(corrupt(format!(
+                    "entry {key} data offset {offset} is not {DATA_ALIGN}-byte aligned"
                 )));
             }
             let end = offset
                 .checked_add(len)
-                .ok_or_else(|| corrupt(format!("variable '{name}' byte range overflows")))?;
+                .ok_or_else(|| corrupt(format!("entry {key} byte range overflows")))?;
             if end > file_len {
                 return Err(corrupt(format!(
-                    "variable '{name}' byte range [{offset}, {end}) runs past EOF ({file_len})"
+                    "entry {key} byte range [{offset}, {end}) runs past EOF ({file_len})"
                 )));
             }
-            if by_name.insert(name.clone(), entries.len()).is_some() {
-                return Err(corrupt(format!("duplicate variable '{name}'")));
+            let names = sections.entry(section.clone()).or_default();
+            if names.insert(name.clone(), i).is_some() {
+                return Err(corrupt(format!("duplicate entry {key}")));
             }
             entries.push(SnapshotEntry {
+                section,
                 name,
+                dtype,
                 shape,
                 offset,
                 len,
             });
         }
-        if cursor != index.len() {
+        if index.remaining() != 0 {
             return Err(corrupt("trailing bytes after the index"));
         }
         // No two declared ranges may overlap: sort by offset, check
@@ -424,23 +584,45 @@ impl Snapshot {
             let (off_b, _, b) = pair[1];
             if off_a + len_a > off_b {
                 return Err(corrupt(format!(
-                    "variables '{}' and '{}' declare overlapping byte ranges",
-                    entries[a].name, entries[b].name
+                    "entries '{}/{}' and '{}/{}' declare overlapping byte ranges",
+                    entries[a].section, entries[a].name, entries[b].section, entries[b].name
                 )));
             }
         }
+        let data_end = ranges.last().map_or(data_start, |&(off, len, _)| off + len);
+        if data_end != file_len {
+            return Err(corrupt(format!(
+                "{} bytes past the last data block",
+                file_len - data_end
+            )));
+        }
 
-        let shapes = entries.iter().map(|e| e.shape.clone()).collect();
         Ok(Snapshot {
             backing,
             step,
+            data_start,
+            data_crc,
             entries,
-            by_name,
-            shapes,
+            sections,
         })
     }
 
-    /// Reads only the step of the snapshot at `path` — the cheap "is
+    /// [`Snapshot::open`] plus the data CRC, which reads every data
+    /// byte: a flipped weight bit is rejected. Checkpoint restore and
+    /// role-artifact reads use this; serving keeps the cheap `open`.
+    pub fn open_verified(path: &Path) -> Result<Snapshot> {
+        let snap = Snapshot::open(path)?;
+        let actual = crc32(&snap.backing.bytes()[snap.data_start..]);
+        if actual != snap.data_crc {
+            return Err(corrupt(format!(
+                "data CRC mismatch: stored {:#010x}, computed {actual:#010x}",
+                snap.data_crc
+            )));
+        }
+        Ok(snap)
+    }
+
+    /// Reads only the step of the container at `path` — the cheap "is
     /// there a newer snapshot?" probe the serving engine runs at batch
     /// boundaries. Validates the magic but nothing else; a refresh that
     /// decides to reload goes through full [`Snapshot::open`]
@@ -451,14 +633,12 @@ impl Snapshot {
         let mut file = std::fs::File::open(path).map_err(io_err)?;
         file.read_exact(&mut head).map_err(io_err)?;
         if &head[..8] != MAGIC {
-            return Err(corrupt("bad magic (not a PLXSNAP1 snapshot)"));
+            return Err(corrupt("bad magic (not a PLXSNAP2 container)"));
         }
-        Ok(u64::from_le_bytes(
-            head[16..24].try_into().expect("8 bytes"),
-        ))
+        Ok(le_u64(&head[16..24]))
     }
 
-    /// Completed training iterations when the snapshot was taken.
+    /// Completed training iterations when the container was written.
     pub fn step(&self) -> u64 {
         self.step
     }
@@ -468,40 +648,69 @@ impl Snapshot {
         &self.entries
     }
 
-    /// Index of the entry named `name`, if present.
-    pub fn entry_index(&self, name: &str) -> Option<usize> {
-        self.by_name.get(name).copied()
+    /// Index of entry `name` in `section`, if present.
+    pub fn find(&self, section: &str, name: &str) -> Option<usize> {
+        self.sections.get(section)?.get(name).copied()
     }
 
-    /// A zero-copy view of entry `idx`: shape plus the mapped bytes
-    /// reinterpreted in place as `f32`s.
+    fn entry(&self, section: &str, name: &str) -> Result<usize> {
+        self.find(section, name).ok_or_else(|| {
+            CoreError::Config(format!(
+                "snapshot has no entry '{name}' in section '{section}'"
+            ))
+        })
+    }
+
+    /// A zero-copy view of `f32` entry `idx`: shape plus the mapped
+    /// bytes reinterpreted in place.
     pub fn view_at(&self, idx: usize) -> Result<TensorView<'_>> {
         let entry = self
             .entries
             .get(idx)
             .ok_or_else(|| CoreError::Config(format!("snapshot has no entry {idx}")))?;
+        if entry.dtype != Dtype::F32 {
+            return Err(CoreError::Config(format!(
+                "entry '{}/{}' is not f32",
+                entry.section, entry.name
+            )));
+        }
         let raw = &self.backing.bytes()[entry.offset..entry.offset + entry.len];
         // SAFETY: any bit pattern is a valid f32, so reinterpreting
         // immutable bytes is sound. Alignment was validated at open
-        // (offset % 4 == 0 over a page-aligned mapping / u32-aligned
-        // buffer), so the reinterpret cannot produce head/tail
-        // remainders — and a corrupt index fails the check below.
+        // (offset % DATA_ALIGN == 0 over a page-aligned mapping /
+        // u32-aligned buffer), so the reinterpret cannot produce
+        // head/tail remainders — and a corrupt index fails the check
+        // below.
         let (head, floats, tail) = unsafe { raw.align_to::<f32>() };
         if !head.is_empty() || !tail.is_empty() {
             return Err(corrupt(format!(
-                "variable '{}' bytes are not f32-aligned",
-                entry.name
+                "entry '{}/{}' bytes are not f32-aligned",
+                entry.section, entry.name
             )));
         }
-        Ok(TensorView::new(&self.shapes[idx], floats)?)
+        Ok(TensorView::new(&entry.shape, floats)?)
     }
 
-    /// A zero-copy view of the variable named `name`.
+    /// A zero-copy view of the variable named `name` (section [`VAR`]).
     pub fn view(&self, name: &str) -> Result<TensorView<'_>> {
-        let idx = self
-            .entry_index(name)
-            .ok_or_else(|| CoreError::Config(format!("snapshot has no variable '{name}'")))?;
-        self.view_at(idx)
+        self.view_at(self.entry(VAR, name)?)
+    }
+
+    /// A copy of `f32` entry `name` of `section`.
+    pub fn tensor(&self, section: &str, name: &str) -> Result<Tensor> {
+        Ok(self.view_at(self.entry(section, name)?)?.to_tensor())
+    }
+
+    /// The values of `u64` entry `name` of `section`, flattened.
+    pub fn u64s(&self, section: &str, name: &str) -> Result<Vec<u64>> {
+        let entry = &self.entries[self.entry(section, name)?];
+        if entry.dtype != Dtype::U64 {
+            return Err(CoreError::Config(format!(
+                "entry '{section}/{name}' is not u64"
+            )));
+        }
+        let raw = &self.backing.bytes()[entry.offset..entry.offset + entry.len];
+        Ok(raw.chunks_exact(8).map(le_u64).collect())
     }
 
     /// The address range of the backing bytes, for tests asserting
@@ -536,23 +745,61 @@ mod tests {
         p
     }
 
-    /// Patches entry `var` of a valid snapshot file: rewrites its
-    /// (offset, len) index fields and recomputes the CRC, so range
-    /// validation — not the checksum — is what must catch the lie.
-    fn forge_range(bytes: &mut [u8], graph: &Graph, var: usize, offset: u64, len: u64) {
-        let mut pos = 16 + 8 + 8;
-        for (i, def) in graph.variables().iter().enumerate() {
-            pos += 8 + def.name.len() + 8 + 8 * def.shape.dims().len();
-            if i == var {
-                bytes[pos..pos + 8].copy_from_slice(&offset.to_le_bytes());
-                bytes[pos + 8..pos + 16].copy_from_slice(&len.to_le_bytes());
-                break;
+    /// Saves a snapshot of `graph()` and returns its path and bytes.
+    fn saved(name: &str) -> (std::path::PathBuf, Vec<u8>) {
+        let g = graph();
+        let store = VarStore::init(&g, &mut DetRng::seed(3));
+        let path = temp_path(name);
+        save(&g, &store, 1, &path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        (path, bytes)
+    }
+
+    fn u64_at(bytes: &[u8], pos: usize) -> u64 {
+        le_u64(&bytes[pos..pos + 8])
+    }
+
+    /// Byte positions of entry `i`'s section length, name length, rank
+    /// and data offset fields in a well-formed file.
+    fn fields(bytes: &[u8], mut i: usize) -> [usize; 4] {
+        let mut pos = HEADER_LEN + 8;
+        loop {
+            let name_at = pos + 8 + u64_at(bytes, pos) as usize;
+            let rank_at = name_at + 8 + u64_at(bytes, name_at) as usize + 8;
+            let offset_at = rank_at + 8 + 8 * u64_at(bytes, rank_at) as usize;
+            if i == 0 {
+                return [pos, name_at, rank_at, offset_at];
             }
-            pos += 16;
+            i -= 1;
+            pos = offset_at + 16;
         }
-        let index_len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-        let crc = crc32(&bytes[16..16 + index_len]);
-        bytes[8..12].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    /// Overwrites the u64 at `pos` and recomputes both CRCs, so the
+    /// validator — not a checksum — must catch the lie.
+    fn forge(bytes: &mut [u8], pos: usize, value: u64) {
+        let data_start = HEADER_LEN + u64_at(bytes, 24) as usize;
+        bytes[pos..pos + 8].copy_from_slice(&value.to_le_bytes());
+        let data_crc = crc32(&bytes[data_start..]);
+        bytes[12..16].copy_from_slice(&data_crc.to_le_bytes());
+        let index_crc = crc32(&bytes[12..data_start]);
+        bytes[8..12].copy_from_slice(&index_crc.to_le_bytes());
+    }
+
+    /// Rewrites entry `i`'s (offset, len) fields, re-sealed.
+    fn forge_range(bytes: &mut [u8], i: usize, offset: u64, len: u64) {
+        let at = fields(bytes, i)[3];
+        forge(bytes, at, offset);
+        forge(bytes, at + 8, len);
+    }
+
+    /// Writes `bytes` to `path` and returns `open`'s error message.
+    fn open_err(path: &Path, bytes: &[u8]) -> String {
+        std::fs::write(path, bytes).unwrap();
+        match Snapshot::open(path) {
+            Err(CoreError::Config(msg)) => msg,
+            other => panic!("forged file must fail closed, got {other:?}"),
+        }
     }
 
     #[test]
@@ -581,123 +828,162 @@ mod tests {
     }
 
     #[test]
+    fn sections_and_dtypes_roundtrip() {
+        let t = Tensor::new([2, 3], (0..6).map(|i| i as f32 - 2.5).collect::<Vec<_>>()).unwrap();
+        let path = temp_path("sections");
+        Writer::new()
+            .tensor(VAR, "w", &t)
+            .tensor("velocity", "w", &t)
+            .f32s("series", "empty", &[])
+            .u64s("meta", "ids", vec![0, u64::MAX, 7])
+            .write(5, &path)
+            .unwrap();
+        let snap = Snapshot::open_verified(&path).unwrap();
+        assert_eq!(snap.step(), 5);
+        assert_eq!(snap.tensor("velocity", "w").unwrap(), t);
+        assert_eq!(snap.view("w").unwrap().to_tensor(), t);
+        assert!(snap.tensor("series", "empty").unwrap().is_empty());
+        assert_eq!(snap.u64s("meta", "ids").unwrap(), [0, u64::MAX, 7]);
+        assert_eq!(snap.entries()[3].dtype, Dtype::U64);
+        // The section is part of the key, and dtypes are not confused.
+        assert!(snap.find("velocity", "ids").is_none());
+        assert!(snap.u64s(VAR, "w").is_err());
+        assert!(snap.tensor("meta", "ids").is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn empty_graph_snapshot_roundtrips() {
         let g = Graph::new();
         let store = VarStore::init(&g, &mut DetRng::seed(1));
         let path = temp_path("empty");
         save(&g, &store, 0, &path).unwrap();
-        let snap = Snapshot::open(&path).unwrap();
+        let snap = Snapshot::open_verified(&path).unwrap();
         assert_eq!(snap.entries().len(), 0);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn rejects_truncation_bad_magic_and_bit_flips() {
-        let g = graph();
-        let store = VarStore::init(&g, &mut DetRng::seed(3));
-        let path = temp_path("corrupt");
-        save(&g, &store, 1, &path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-
-        // Truncated inside the index.
-        std::fs::write(&path, &bytes[..40]).unwrap();
-        assert!(Snapshot::open(&path).is_err());
+    fn rejects_truncation_bad_magic_and_index_bit_flips() {
+        let (path, bytes) = saved("corrupt");
+        // Truncated inside the index, and by one data byte.
+        assert!(open_err(&path, &bytes[..40]).contains("EOF"));
+        assert!(open_err(&path, &bytes[..bytes.len() - 1]).contains("EOF"));
         // Bad magic.
         let mut bad = bytes.clone();
         bad[0] = b'X';
-        std::fs::write(&path, &bad).unwrap();
-        assert!(Snapshot::open(&path).is_err());
+        assert!(open_err(&path, &bad).contains("magic"));
         assert!(Snapshot::peek_step(&path).is_err());
-        // A flipped index bit: caught by the CRC.
-        let mut flipped = bytes.clone();
-        flipped[20] ^= 0x40;
-        std::fs::write(&path, &flipped).unwrap();
-        match Snapshot::open(&path) {
-            Err(CoreError::Config(msg)) => {
-                assert!(msg.contains("CRC"), "expected CRC error, got: {msg}")
-            }
-            other => panic!("index bit flip must fail the CRC, got {other:?}"),
+        // A flipped index bit and a flipped step bit: caught by the
+        // index CRC.
+        for at in [HEADER_LEN + 12, 16] {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 0x40;
+            assert!(open_err(&path, &flipped).contains("index CRC"));
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn data_bit_flip_passes_open_but_fails_verified_open() {
+        let (path, mut bytes) = saved("dataflip");
+        // The last block is variable 'b'.
+        let last = bytes.len() - 2;
+        bytes[last] ^= 0x10;
+        std::fs::write(&path, &bytes).unwrap();
+        // The cheap open never reads the weight pages...
+        assert!(Snapshot::open(&path).is_ok());
+        // ...the verified open rejects the flipped weight bit.
+        match Snapshot::open_verified(&path) {
+            Err(CoreError::Config(msg)) => assert!(msg.contains("data CRC"), "got: {msg}"),
+            other => panic!("data bit flip must fail the data CRC, got {other:?}"),
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn rejects_trailing_bytes() {
+        let (path, mut bytes) = saved("trailing");
+        bytes.push(0);
+        assert!(open_err(&path, &bytes).contains("past the last data block"));
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn rejects_range_past_eof() {
-        let g = graph();
-        let store = VarStore::init(&g, &mut DetRng::seed(3));
-        let path = temp_path("eof");
-        save(&g, &store, 1, &path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let total = bytes.len() as u64;
+        let (path, mut bytes) = saved("eof");
         // Keep len == 4 * volume (so the volume check passes) but push
         // the block past the end of the file.
-        forge_range(&mut bytes, &g, 2, (total - 8) & !3, 3 * 4);
-        std::fs::write(&path, &bytes).unwrap();
-        match Snapshot::open(&path) {
-            Err(CoreError::Config(msg)) => {
-                assert!(msg.contains("EOF"), "expected EOF error, got: {msg}")
-            }
-            other => panic!("range past EOF must fail closed, got {other:?}"),
-        }
+        let past = align_up(bytes.len(), DATA_ALIGN) as u64;
+        forge_range(&mut bytes, 2, past, 3 * 4);
+        assert!(open_err(&path, &bytes).contains("EOF"));
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn rejects_overlapping_ranges() {
-        let g = graph();
-        let store = VarStore::init(&g, &mut DetRng::seed(3));
-        let path = temp_path("overlap");
-        save(&g, &store, 1, &path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        // Point 'w' (12 floats) into the middle of 'emb' (40 floats).
-        let snap = Snapshot::open(&path).unwrap();
-        let emb_off = snap.entries()[0].offset as u64;
-        drop(snap);
-        forge_range(&mut bytes, &g, 1, emb_off + 4, 12 * 4);
-        std::fs::write(&path, &bytes).unwrap();
-        match Snapshot::open(&path) {
-            Err(CoreError::Config(msg)) => assert!(
-                msg.contains("overlap"),
-                "expected overlap error, got: {msg}"
-            ),
-            other => panic!("overlapping ranges must fail closed, got {other:?}"),
+        let (path, mut bytes) = saved("overlap");
+        // Point 'w' (12 floats) into 'emb' (40 floats).
+        let emb_off = u64_at(&bytes, fields(&bytes, 0)[3]);
+        forge_range(&mut bytes, 1, emb_off + 64, 12 * 4);
+        assert!(open_err(&path, &bytes).contains("overlap"));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn rejects_misaligned_wrong_length_and_in_index_ranges() {
+        let (path, bytes) = saved("misalign");
+        let good_off = u64_at(&bytes, fields(&bytes, 2)[3]);
+
+        let mut forged = bytes.clone();
+        forge_range(&mut forged, 2, good_off + 4, 3 * 4);
+        assert!(open_err(&path, &forged).contains("aligned"));
+
+        let mut forged = bytes.clone();
+        forge_range(&mut forged, 2, good_off, 2 * 4);
+        assert!(open_err(&path, &forged).contains("needs"));
+
+        let mut forged = bytes;
+        forge_range(&mut forged, 2, HEADER_LEN as u64, 3 * 4);
+        assert!(open_err(&path, &forged).contains("inside the index"));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn forged_counts_and_lengths_fail_closed() {
+        let (path, bytes) = saved("forged");
+        let [section_at, name_at, rank_at, _] = fields(&bytes, 0);
+        let cases = [
+            (HEADER_LEN, 1u64 << 40, "entries"),
+            (HEADER_LEN, 1 << 61, "entries"),
+            (HEADER_LEN, u64::MAX, "entries"),
+            (section_at, u64::MAX, "truncated"),
+            (name_at, u64::MAX, "truncated"),
+            (name_at, 1 << 40, "truncated"),
+            (rank_at, 1 << 60, "truncated"),
+            (rank_at, u64::MAX, "truncated"),
+            (24, u64::MAX, "EOF"),
+        ];
+        for (at, value, expect) in cases {
+            let mut forged = bytes.clone();
+            forge(&mut forged, at, value);
+            let msg = open_err(&path, &forged);
+            assert!(msg.contains(expect), "field {at} = {value}: {msg}");
         }
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn rejects_misaligned_and_wrong_length_ranges() {
-        let g = graph();
-        let store = VarStore::init(&g, &mut DetRng::seed(3));
-        let path = temp_path("misalign");
-        save(&g, &store, 1, &path).unwrap();
+    fn rejects_duplicate_names_within_a_section() {
+        let t = Tensor::full([2], 1.0);
+        let path = temp_path("duplicate");
+        Writer::new()
+            .tensor(VAR, "w", &t)
+            .tensor(VAR, "w", &t)
+            .write(0, &path)
+            .unwrap();
         let bytes = std::fs::read(&path).unwrap();
-        let good_off = Snapshot::open(&path).unwrap().entries()[2].offset as u64;
-
-        // Misaligned offset.
-        let mut forged = bytes.clone();
-        forge_range(&mut forged, &g, 2, good_off + 2, 3 * 4);
-        std::fs::write(&path, &forged).unwrap();
-        match Snapshot::open(&path) {
-            Err(CoreError::Config(msg)) => assert!(msg.contains("aligned"), "got: {msg}"),
-            other => panic!("misaligned range must fail closed, got {other:?}"),
-        }
-        // Length disagreeing with the declared shape.
-        let mut forged = bytes.clone();
-        forge_range(&mut forged, &g, 2, good_off, 2 * 4);
-        std::fs::write(&path, &forged).unwrap();
-        match Snapshot::open(&path) {
-            Err(CoreError::Config(msg)) => assert!(msg.contains("needs"), "got: {msg}"),
-            other => panic!("length/shape mismatch must fail closed, got {other:?}"),
-        }
-        // Range pointing into the index region.
-        let mut forged = bytes;
-        forge_range(&mut forged, &g, 2, 16, 3 * 4);
-        std::fs::write(&path, &forged).unwrap();
-        match Snapshot::open(&path) {
-            Err(CoreError::Config(msg)) => assert!(msg.contains("index"), "got: {msg}"),
-            other => panic!("range inside the index must fail closed, got {other:?}"),
-        }
+        assert!(open_err(&path, &bytes).contains("duplicate"));
         std::fs::remove_file(&path).ok();
     }
 
@@ -709,9 +995,7 @@ mod tests {
         save(&g, &store, 2, &path).unwrap();
         let mut newer = store.clone();
         let var = g.find_variable("b").unwrap();
-        newer
-            .set(var, parallax_tensor::Tensor::full([3], 9.0))
-            .unwrap();
+        newer.set(var, Tensor::full([3], 9.0)).unwrap();
         save(&g, &newer, 4, &path).unwrap();
         let snap = Snapshot::open(&path).unwrap();
         assert_eq!(snap.step(), 4);

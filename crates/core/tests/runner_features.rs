@@ -5,8 +5,8 @@
 use parallax_cluster::ResourceSpec;
 use parallax_core::sparsity::estimate_profile;
 use parallax_core::{
-    checkpoint, get_runner, get_runner_from_spec, shard_range, ArchChoice, OptimizerKind,
-    ParallaxConfig,
+    checkpoint::SlotMap, get_runner, get_runner_from_spec, shard_range, ArchChoice, OptimizerKind,
+    ParallaxConfig, RestorePoint,
 };
 use parallax_dataflow::grad::backward;
 use parallax_dataflow::graph::{Init, Op, PhKind};
@@ -218,10 +218,16 @@ fn trained_model_checkpoints_and_resumes() {
 
     let mut path = std::env::temp_dir();
     path.push(format!("parallax_e2e_ckpt_{}", std::process::id()));
-    checkpoint::save(&graph, &store, &path).unwrap();
-    let mut restored = checkpoint::load(&graph, &path).unwrap();
+    let saved = RestorePoint {
+        store,
+        slots: SlotMap::new(),
+    };
+    saved.save(&graph, 8, &path).unwrap();
+    let (restored, step) = RestorePoint::load(&graph, &path).unwrap();
     std::fs::remove_file(&path).ok();
-    assert_eq!(store.max_divergence(&restored), 0.0);
+    assert_eq!(step, 8);
+    assert_eq!(saved.store.max_divergence(&restored.store), 0.0);
+    let mut restored = restored.store;
 
     // The restored model evaluates to the same loss as the live one.
     let acts = Session::new(&graph)
@@ -231,7 +237,7 @@ fn trained_model_checkpoints_and_resumes() {
 }
 
 /// Crash-and-resume under a *stateful* optimizer must land on exactly
-/// the model an uninterrupted run produces: checkpoint v3 carries the
+/// the model an uninterrupted run produces: the checkpoint carries the
 /// Momentum velocity / Adagrad accumulator for both AllReduce replicas
 /// and PS server shards, so recovery replays from identical state.
 #[test]

@@ -39,7 +39,7 @@ use std::sync::Arc;
 
 use parallax_comm::wire::PackedSlices;
 use parallax_comm::Payload;
-use parallax_tensor::{IndexedSlices, Tensor};
+use parallax_tensor::{crc32, IndexedSlices, Tensor};
 
 use crate::error::FrameError;
 
@@ -77,21 +77,6 @@ pub enum Frame {
     },
     /// The peer's graceful-shutdown marker: no further frames follow.
     Fin,
-}
-
-/// CRC-32 (IEEE 802.3, the PKZIP polynomial), bitwise. Matches the
-/// checkpoint format's checksum; reimplemented here because the net
-/// crate sits *below* core in the dependency order.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
 }
 
 // ---------------------------------------------------------------------
@@ -445,12 +430,6 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Result<Option<Frame>, Fr
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_matches_reference_vector() {
-        // Same IEEE vector the checkpoint module pins.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-    }
 
     fn roundtrip(p: &Payload) -> Payload {
         let bytes = encode_msg(0x1234, p);

@@ -28,7 +28,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crossbeam::channel;
-use parallax_core::snapshot::Snapshot;
+use parallax_core::snapshot::{Snapshot, VAR};
 use parallax_dataflow::{
     Activations, Feed, Graph, NodeId, Session, VarId, VarProvider, VariableDef,
 };
@@ -120,7 +120,7 @@ impl Loaded {
         let mut var_map = Vec::with_capacity(graph.variables().len());
         for var in graph.var_ids() {
             let def = graph.var_def(var)?;
-            let idx = snap.entry_index(&def.name).ok_or_else(|| {
+            let idx = snap.find(VAR, &def.name).ok_or_else(|| {
                 ServeError::Core(parallax_core::CoreError::Config(format!(
                     "snapshot at step {} has no variable '{}'",
                     snap.step(),

@@ -8,6 +8,7 @@
 //! built around. All math is `f32` on the host; simulated GPUs in the
 //! upper layers execute these kernels on worker threads.
 
+pub mod checksum;
 pub mod error;
 pub mod ops;
 pub mod pool;
@@ -17,6 +18,7 @@ pub mod sparse;
 pub mod tensor;
 pub mod view;
 
+pub use checksum::crc32;
 pub use error::TensorError;
 pub use rng::DetRng;
 pub use shape::Shape;
