@@ -306,28 +306,24 @@ fn dist() {
             eprintln!("repro dist: read {}: {e}", spec_path.display());
             std::process::exit(1);
         });
-        let mut spec = parallax_net::ClusterSpec::from_json(&text).unwrap_or_else(|e| {
+        let spec = parallax_net::ClusterSpec::from_json(&text).unwrap_or_else(|e| {
             eprintln!("repro dist: {e}");
             std::process::exit(1);
         });
         let exe = std::env::current_exe().expect("current_exe");
-        match parallax_bench::dist::launch(
-            &exe,
-            &mut spec,
-            parallax_bench::dist::GENERATION_DEADLINE,
-        ) {
-            Ok(merged) => {
+        match parallax_bench::dist::launch(&exe, &spec, parallax_bench::dist::GENERATION_DEADLINE) {
+            Ok(report) => {
                 println!(
-                    "dist: {} iterations over {} process(es), {} generation(s)",
-                    merged.losses.len(),
+                    "dist: {} iterations over {} process(es), {} attempt(s)",
+                    report.losses.len(),
                     spec.num_endpoints(),
-                    merged.generations
+                    report.attempts
                 );
                 println!(
-                    "dist: final loss {:.6}, network traffic {} B (traced {} B)",
-                    merged.losses.last().copied().unwrap_or(0.0),
-                    merged.traffic.total_network_bytes(),
-                    merged.traced_span_bytes
+                    "dist: final loss {:.6}, network traffic {} B in the successful \
+                     generation (== its traced span bytes)",
+                    report.losses.last().copied().unwrap_or(0.0),
+                    report.traffic.total_network_bytes()
                 );
             }
             Err(e) => {

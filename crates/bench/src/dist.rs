@@ -3,59 +3,49 @@
 //! One OS process per role (`chief` / `worker` / `server`), connected
 //! by `parallax-net`'s TCP mesh. Every process parses the same
 //! `CLUSTER.json` spec, derives the same deterministic plan, and calls
-//! [`Runner::run_role`] — the *same* function the in-process runner
-//! calls once per thread — over an endpoint whose transport happens to
-//! cross a process boundary. Everything above the transport seam
-//! (tag matching, traffic accounting, fault injection, protocol
-//! validation) is shared, which is what makes the two modes
-//! bitwise-equivalent.
+//! [`Runner::run_role`], the function the thread fleet calls once per
+//! thread, over an endpoint whose transport crosses a process boundary.
+//! Everything above the transport seam is shared, which is what makes
+//! the two modes bitwise-equivalent.
 //!
-//! Each role writes an artifact (losses, traffic by class, traced span
-//! bytes, chief replica / server shards) into the spec's
-//! `artifact_dir` as a tensor container (`parallax_core::snapshot`);
-//! the launcher verifies both of its CRCs and merges the artifacts
-//! with the exact folds the in-process attempt uses
-//! ([`mean_worker_losses`], [`Runner::stitch_final_model`],
-//! `TrafficReport::merge_from`).
-//!
-//! Recovery model: the launcher respawns the *whole fleet* with fresh
-//! ports when a generation fails (a fault-injected kill, a timeout
-//! from a dropped message). Each process independently loads the
-//! chief's checkpoint at startup, so every role resumes from the same
-//! step; a write-ahead fired-fault log keeps one-shot faults from
-//! re-firing after respawn. Artifacts only exist for the successful
-//! generation, so the traced-vs-measured byte crosscheck stays exact.
-//!
-//! `repro dist-check` is the equivalence gate: same seed and plan,
-//! in-process vs sockets, asserting bitwise-identical losses and final
-//! weights and byte-identical per-class traffic (static prediction ==
-//! traced spans == measured ledger) for both presets.
+//! - **Role processes** ([`role_main`]) resume from the run's checkpoint
+//!   if it published one ([`Runner::resume_point`]), run the role with
+//!   tracing live, and write a CRC-checked [`RoleArtifact`] (the role's
+//!   report, traced span bytes and traffic by class).
+//! - **The process fleet** ([`ProcessFleet`], [`launch`]) is a [`Fleet`]
+//!   whose attempt is one generation of role processes on fresh ports;
+//!   [`Runner::supervise`], the recovery loop and fold the in-process
+//!   runner uses too, drives it. A write-ahead fired-fault log keeps
+//!   one-shot faults from re-firing after a respawn; like the
+//!   checkpoint, a stale one is removed before the first generation.
+//! - **The equivalence gate** (`repro dist-check`, [`run`]): the same
+//!   spec in-process and over sockets must give bitwise-identical
+//!   losses and weights and byte-identical per-class traffic, equal to
+//!   the static prediction where no checkpoint is taken, and
+//!   bitwise-equal checkpoints and snapshots where one is.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::Arc;
 use std::time::Duration;
 
-use parallax_comm::protocheck::SessionValidator;
 use parallax_comm::{Endpoint, PeerHealth, TrafficSnapshot, TrafficStats, WireFormat};
 use parallax_core::plancheck::predict_iteration_traffic;
 use parallax_core::runner::TrafficReport;
 use parallax_core::snapshot::{Snapshot, Writer};
 use parallax_core::sparsity::estimate_profile;
+use parallax_core::supervisor::remove_stale;
 use parallax_core::{
-    derive_session, get_runner, mean_worker_losses, CoreError, ParallaxConfig, RestorePoint,
-    RoleAssignment, RoleOutput, Runner,
+    get_runner, Attempt, CoreError, Fleet, ParallaxConfig, RestorePoint, RoleAssignment,
+    RoleOutput, RoleReport, RunReport, Runner,
 };
 use parallax_dataflow::{Feed, Graph, NodeId, VarId, VarStore};
 use parallax_fault::{FaultInjector, FaultPlan};
 use parallax_models::data::ZipfCorpus;
 use parallax_models::lm::{LmConfig, LmModel};
 use parallax_models::nmt::{NmtConfig, NmtModel};
-use parallax_net::{
-    free_local_ports, ClusterSpec, Fleet, FleetOutcome, Role, TcpConfig, TcpTransport,
-};
+use parallax_net::{free_local_ports, ClusterSpec, FleetOutcome, Role, TcpConfig, TcpTransport};
 use parallax_tensor::{DetRng, Tensor};
 use parallax_trace::TraceConfig;
 
@@ -135,51 +125,28 @@ impl DistJob {
             validate_protocol: spec.validate_protocol,
             ..ParallaxConfig::default()
         };
-        let gpus = vec![spec.gpus_per_machine; spec.machines];
-        match spec.preset.as_str() {
+        let (graph, loss, feed, preset) = match spec.preset.as_str() {
             "nmt" => {
                 let model = NmtModel::build(NmtConfig::tiny()).map_err(|e| e.to_string())?;
                 let src = ZipfCorpus::new(model.config.src_vocab, 1.0);
                 let tgt = ZipfCorpus::new(model.config.tgt_vocab, 1.0);
-                let profile = {
-                    let feed = model.feed(&src, &tgt, &mut DetRng::seed(100));
-                    estimate_profile(&model.built.graph, &[feed], 1).map_err(|e| e.to_string())?
-                };
-                let runner = get_runner(
-                    model.built.graph.clone(),
-                    model.built.loss,
-                    gpus,
-                    config,
-                    profile,
-                )
-                .map_err(|e| e.to_string())?;
-                Ok(DistJob {
-                    preset: Preset::Nmt { model, src, tgt },
-                    runner,
-                })
+                let feed = model.feed(&src, &tgt, &mut DetRng::seed(100));
+                let (graph, loss) = (model.built.graph.clone(), model.built.loss);
+                (graph, loss, feed, Preset::Nmt { model, src, tgt })
             }
             "lm" => {
                 let model = LmModel::build(LmConfig::tiny()).map_err(|e| e.to_string())?;
                 let corpus = ZipfCorpus::new(model.config.vocab, 1.0);
-                let profile = {
-                    let feed = model.feed(&corpus, &mut DetRng::seed(100));
-                    estimate_profile(&model.built.graph, &[feed], 1).map_err(|e| e.to_string())?
-                };
-                let runner = get_runner(
-                    model.built.graph.clone(),
-                    model.built.loss,
-                    gpus,
-                    config,
-                    profile,
-                )
-                .map_err(|e| e.to_string())?;
-                Ok(DistJob {
-                    preset: Preset::Lm { model, corpus },
-                    runner,
-                })
+                let feed = model.feed(&corpus, &mut DetRng::seed(100));
+                let (graph, loss) = (model.built.graph.clone(), model.built.loss);
+                (graph, loss, feed, Preset::Lm { model, corpus })
             }
-            other => Err(format!("unknown preset '{other}' (known: lm, nmt)")),
-        }
+            other => return Err(format!("unknown preset '{other}' (known: lm, nmt)")),
+        };
+        let profile = estimate_profile(&graph, &[feed], 1).map_err(|e| e.to_string())?;
+        let gpus = vec![spec.gpus_per_machine; spec.machines];
+        let runner = get_runner(graph, loss, gpus, config, profile).map_err(|e| e.to_string())?;
+        Ok(DistJob { preset, runner })
     }
 
     /// The single-GPU graph the job trains.
@@ -214,9 +181,9 @@ impl DistJob {
 }
 
 // ---------------------------------------------------------------------------
-// Role artifacts: the per-process half of a run report, merged by the
-// launcher. Each is one tensor container (`parallax_core::snapshot`),
-// and reads verify both of its CRCs.
+// Role artifacts: a role process's report to the launcher. Each is one
+// tensor container (`parallax_core::snapshot`), and reads verify both
+// of its CRCs.
 // ---------------------------------------------------------------------------
 
 /// Artifact sections: `u64` scalars and shard keys, `f32` per-iteration
@@ -230,34 +197,30 @@ const LEDGERS: [&str; 5] = ["nccl", "mpi", "ps", "local_agg", "other"];
 
 /// What one role process writes on success.
 pub struct RoleArtifact {
-    /// The role that produced this artifact.
-    pub role: Role,
-    /// The iteration this generation resumed from (0 = fresh start).
-    pub start_iter: usize,
+    /// The role, its resume step and its output. Only the chief's
+    /// worker output carries a replica; other workers ship an empty one.
+    pub report: RoleReport,
     /// `TraceDump::total_span_bytes()` of the process's traced run.
     pub span_bytes: u64,
-    /// Worker per-iteration losses for `start_iter..iterations`.
-    pub losses: Vec<f32>,
-    /// Chief per-iteration gradient norms (under `trace_gradients`).
-    pub norms: Vec<f32>,
-    /// Worker forward+backward seconds.
-    pub compute_secs: f64,
-    /// Chief replica values in graph variable order (empty for every
-    /// other role).
-    pub store: Vec<Tensor>,
-    /// Server shard values `((var index, partition), value)`.
-    pub shards: Vec<((u64, u64), Tensor)>,
     /// The process's measured traffic by class (sender-side only, so
     /// per-process snapshots merge disjointly).
     pub traffic: TrafficReport,
 }
 
 /// The artifact file name for `role` inside an artifact directory.
-pub fn artifact_name(role: Role) -> String {
+pub fn artifact_name(role: RoleAssignment) -> String {
     match role {
-        Role::Chief => "artifact_worker0.bin".into(),
-        Role::Worker { index } => format!("artifact_worker{index}.bin"),
-        Role::Server { machine } => format!("artifact_server{machine}.bin"),
+        RoleAssignment::Worker { index } => format!("artifact_worker{index}.bin"),
+        RoleAssignment::Server { machine } => format!("artifact_server{machine}.bin"),
+    }
+}
+
+/// The runner role a process role executes (the chief is worker 0).
+fn assignment(role: Role) -> RoleAssignment {
+    match role {
+        Role::Chief => RoleAssignment::Worker { index: 0 },
+        Role::Worker { index } => RoleAssignment::Worker { index },
+        Role::Server { machine } => RoleAssignment::Server { machine },
     }
 }
 
@@ -287,24 +250,35 @@ fn read_ledger(snap: &Snapshot, section: &str) -> Result<TrafficSnapshot, CoreEr
 impl RoleArtifact {
     /// Writes the artifact atomically as a tensor container.
     pub fn write(&self, path: &Path) -> Result<(), String> {
-        let kind = match self.role {
-            Role::Chief | Role::Worker { .. } => 0,
-            Role::Server { .. } => 1,
+        let (kind, index) = match self.report.role {
+            RoleAssignment::Worker { index } => (0, index),
+            RoleAssignment::Server { machine } => (1, machine),
         };
-        let keys = self.shards.iter().flat_map(|&((v, p), _)| [v, p]).collect();
         let mut w = Writer::new();
-        w.u64s(META, "role", vec![kind, self.role.index() as u64])
-            .u64s(META, "start_iter", vec![self.start_iter as u64])
-            .u64s(META, "span_bytes", vec![self.span_bytes])
-            .u64s(META, "compute_secs", vec![self.compute_secs.to_bits()])
-            .u64s(META, "shard_keys", keys)
-            .f32s(SERIES, "losses", &self.losses)
-            .f32s(SERIES, "norms", &self.norms);
-        for (i, t) in self.store.iter().enumerate() {
-            w.tensor(STORE, &i.to_string(), t);
-        }
-        for (i, (_, t)) in self.shards.iter().enumerate() {
-            w.tensor(SHARDS, &i.to_string(), t);
+        w.u64s(META, "role", vec![kind, index as u64])
+            .u64s(META, "start_iter", vec![self.report.start_iter as u64])
+            .u64s(META, "span_bytes", vec![self.span_bytes]);
+        match &self.report.output {
+            RoleOutput::Worker {
+                losses,
+                norms,
+                compute_secs,
+                store,
+            } => {
+                w.u64s(META, "compute_secs", vec![compute_secs.to_bits()])
+                    .f32s(SERIES, "losses", losses)
+                    .f32s(SERIES, "norms", norms);
+                for (i, t) in store.values().iter().enumerate() {
+                    w.tensor(STORE, &i.to_string(), t);
+                }
+            }
+            RoleOutput::Server { shards } => {
+                let keys = shards.iter().flat_map(|((v, p), _)| [v.index(), *p]);
+                w.u64s(META, "shard_keys", keys.map(|k| k as u64).collect());
+                for (i, (_, t)) in shards.iter().enumerate() {
+                    w.tensor(SHARDS, &i.to_string(), t);
+                }
+            }
         }
         for (section, s) in LEDGERS.into_iter().zip(ledgers(&self.traffic)) {
             let mut links: Vec<[u64; 3]> = s
@@ -339,37 +313,45 @@ impl RoleArtifact {
             [x] => Ok(x),
             _ => Err(bad(name)),
         };
-        let role = match snap.u64s(META, "role")?[..] {
-            [0, 0] => Role::Chief,
-            [0, index] => Role::Worker {
-                index: index as usize,
-            },
-            [1, machine] => Role::Server {
-                machine: machine as usize,
-            },
-            _ => return Err(bad("role")),
-        };
         let tensors = |section: &str, n: usize| -> Result<Vec<Tensor>, CoreError> {
             (0..n)
                 .map(|i| snap.tensor(section, &i.to_string()))
                 .collect()
         };
-        let keys = snap.u64s(META, "shard_keys")?;
-        let store_len = snap.entries().iter().filter(|e| e.section == STORE).count();
-        let shards = keys
-            .chunks_exact(2)
-            .map(|k| (k[0], k[1]))
-            .zip(tensors(SHARDS, keys.len() / 2)?)
-            .collect();
+        let (role, output) = match snap.u64s(META, "role")?[..] {
+            [0, index] => {
+                let store_len = snap.entries().iter().filter(|e| e.section == STORE).count();
+                let output = RoleOutput::Worker {
+                    losses: snap.tensor(SERIES, "losses")?.into_data(),
+                    norms: snap.tensor(SERIES, "norms")?.into_data(),
+                    compute_secs: f64::from_bits(scalar("compute_secs")?),
+                    store: VarStore::from_values(tensors(STORE, store_len)?),
+                };
+                let index = index as usize;
+                (RoleAssignment::Worker { index }, output)
+            }
+            [1, machine] => {
+                let keys = snap.u64s(META, "shard_keys")?;
+                let shards = keys
+                    .chunks_exact(2)
+                    .map(|k| (VarId::from_index(k[0] as usize), k[1] as usize))
+                    .zip(tensors(SHARDS, keys.len() / 2)?)
+                    .collect();
+                let machine = machine as usize;
+                (
+                    RoleAssignment::Server { machine },
+                    RoleOutput::Server { shards },
+                )
+            }
+            _ => return Err(bad("role")),
+        };
         Ok(RoleArtifact {
-            role,
-            start_iter: scalar("start_iter")? as usize,
+            report: RoleReport {
+                role,
+                start_iter: scalar("start_iter")? as usize,
+                output,
+            },
             span_bytes: scalar("span_bytes")?,
-            losses: snap.tensor(SERIES, "losses")?.into_data(),
-            norms: snap.tensor(SERIES, "norms")?.into_data(),
-            compute_secs: f64::from_bits(scalar("compute_secs")?),
-            store: tensors(STORE, store_len)?,
-            shards,
             traffic: TrafficReport {
                 nccl: read_ledger(&snap, LEDGERS[0])?,
                 mpi: read_ledger(&snap, LEDGERS[1])?,
@@ -405,62 +387,28 @@ pub fn role_main(spec_path: &Path, role: Role) -> Result<(), String> {
     let runner = &job.runner;
     let topo = runner.topology();
 
-    // Satellite: non-chief roles keep persistence paths (the protocol
-    // depends on every role deriving the same checkpoint interval) but
-    // never publish — surfaced as a typed warning, not a silent race.
+    // Non-chief roles keep persistence paths (the protocol depends on
+    // every role deriving the same checkpoint interval) but never
+    // publish; surfaced as a typed warning, not a silent race.
     for warning in runner
         .config()
         .role_warnings(role.is_chief(), &role.to_string())
     {
         eprintln!("[parallax-net] warning: {warning}");
     }
-
-    let (assignment, rank) = match role {
-        Role::Chief => (RoleAssignment::Worker { index: 0 }, topo.worker_ranks()[0]),
-        Role::Worker { index } => {
-            let rank = *topo.worker_ranks().get(index).ok_or_else(|| {
-                format!(
-                    "worker index {index} outside {} workers",
-                    topo.num_workers()
-                )
-            })?;
-            (RoleAssignment::Worker { index }, rank)
-        }
-        Role::Server { machine } => {
-            if machine >= topo.num_machines() {
-                return Err(format!(
-                    "server machine {machine} outside {} machines",
-                    topo.num_machines()
-                ));
-            }
-            (
-                RoleAssignment::Server { machine },
-                topo.server_rank(machine),
-            )
-        }
-    };
-
+    let role = assignment(role);
+    let rank = runner.rank_of(role).map_err(|e| e.to_string())?;
     let artifact_dir = PathBuf::from(&spec.artifact_dir);
 
-    // Resume point: every process independently loads the chief's
-    // latest checkpoint (if one exists), so the whole fleet agrees on
-    // `start_iter` — the multi-process analog of `Runner::run`'s
-    // recovery loop threading one RestorePoint to every thread.
-    let mut start_iter = 0usize;
-    let mut restore: Option<RestorePoint> = None;
-    if !spec.checkpoint.is_empty() {
-        let ckpt = artifact_dir.join(&spec.checkpoint);
-        if ckpt.exists() {
-            let (rp, step) = RestorePoint::load(job.graph(), &ckpt).map_err(|e| e.to_string())?;
-            eprintln!("[parallax-net] {role}: resuming from checkpoint at step {step}");
-            start_iter = step as usize;
-            restore = Some(rp);
-        }
-    }
+    // The process half of the resume rule: the launcher's supervisor
+    // removed any stale checkpoint before the first generation, so this
+    // loads only one the run published, and the supervisor rejects a
+    // role whose resume step differs from its own.
+    let (restore, start_iter) = runner.resume_point().map_err(|e| e.to_string())?;
 
     // One-shot fault semantics across respawns: fired events are logged
     // write-ahead (flushed before the verdict returns) and precleared
-    // on the next generation, matching the in-process runner's single
+    // on the next generation, matching the thread fleet's single
     // shared injector.
     let injector = Arc::new(
         FaultInjector::new_logged(
@@ -472,7 +420,7 @@ pub fn role_main(spec_path: &Path, role: Role) -> Result<(), String> {
 
     let health = Arc::new(PeerHealth::default());
     let tcp = TcpTransport::connect_mesh(&TcpConfig::new(rank, spec.addrs()), Arc::clone(&health))
-        .map_err(|e| format!("{role}: mesh: {e}"))?;
+        .map_err(|e| format!("{role:?}: mesh: {e}"))?;
     let traffic = TrafficStats::new(topo.num_machines());
     let mut endpoint = Endpoint::from_transport(
         topo.comm().clone(),
@@ -483,19 +431,14 @@ pub fn role_main(spec_path: &Path, role: Role) -> Result<(), String> {
         Some(Arc::clone(&injector)),
     )
     .map_err(|e| e.to_string())?;
-    if let Some(d) = runner.config().recv_deadline {
-        endpoint.set_recv_deadline(d);
-    }
-    if cfg!(debug_assertions) || runner.config().validate_protocol {
-        let session = derive_session(job.graph(), runner.config(), topo, runner.plan())
-            .map_err(|e| e.to_string())?;
-        endpoint.set_validator(SessionValidator::from_spec(&session));
-    }
+    runner
+        .configure_endpoints(std::slice::from_mut(&mut endpoint))
+        .map_err(|e| e.to_string())?;
 
     parallax_trace::configure(TraceConfig::on());
     parallax_trace::reset();
     let result = runner.run_role(
-        assignment,
+        role,
         endpoint,
         spec.iterations,
         start_iter,
@@ -505,86 +448,27 @@ pub fn role_main(spec_path: &Path, role: Role) -> Result<(), String> {
     );
     parallax_trace::disable();
     let dump = parallax_trace::drain();
-    let output = result.map_err(|e| format!("{role}: {e}"))?;
-
-    let chief_rank = topo.worker_ranks()[0];
-    let artifact = match output {
-        RoleOutput::Worker {
-            losses,
-            norms,
-            compute_secs,
-            store,
-        } => RoleArtifact {
+    let mut output = result.map_err(|e| format!("{role:?}: {e}"))?;
+    if let RoleOutput::Worker { store, .. } = &mut output {
+        if role != (RoleAssignment::Worker { index: 0 }) {
+            *store = VarStore::from_values(Vec::new());
+        }
+    }
+    let artifact = RoleArtifact {
+        report: RoleReport {
             role,
             start_iter,
-            span_bytes: dump.total_span_bytes(),
-            losses,
-            norms,
-            compute_secs,
-            store: if rank == chief_rank {
-                store.values().to_vec()
-            } else {
-                Vec::new()
-            },
-            shards: Vec::new(),
-            traffic: class_report(&traffic),
+            output,
         },
-        RoleOutput::Server { shards } => RoleArtifact {
-            role,
-            start_iter,
-            span_bytes: dump.total_span_bytes(),
-            losses: Vec::new(),
-            norms: Vec::new(),
-            compute_secs: 0.0,
-            store: Vec::new(),
-            shards: shards
-                .into_iter()
-                .map(|((var, part), t)| ((var.index() as u64, part as u64), t))
-                .collect(),
-            traffic: class_report(&traffic),
-        },
+        span_bytes: dump.total_span_bytes(),
+        traffic: TrafficReport::from_stats(&traffic),
     };
     artifact.write(&artifact_dir.join(artifact_name(role)))
-}
-
-/// Snapshots a process's accumulator into a per-class report.
-fn class_report(traffic: &TrafficStats) -> TrafficReport {
-    use parallax_comm::TrafficClass;
-    TrafficReport {
-        nccl: traffic.class_snapshot(TrafficClass::Nccl),
-        mpi: traffic.class_snapshot(TrafficClass::Mpi),
-        ps: traffic.class_snapshot(TrafficClass::Ps),
-        local_agg: traffic.class_snapshot(TrafficClass::LocalAgg),
-        other: traffic.class_snapshot(TrafficClass::Default),
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Chief-side launcher
 // ---------------------------------------------------------------------------
-
-/// A merged multi-process run: the socket-mode [`RunReport`] analog,
-/// assembled from role artifacts with the in-process folds.
-///
-/// [`RunReport`]: parallax_core::RunReport
-pub struct MergedRun {
-    /// Mean training loss per iteration; zeros before the successful
-    /// generation's resume point (matching in-process recovery).
-    pub losses: Vec<f32>,
-    /// Chief per-iteration gradient norms.
-    pub grad_norms: Vec<f32>,
-    /// Merged per-class traffic of the successful generation.
-    pub traffic: TrafficReport,
-    /// Max worker compute seconds per executed iteration.
-    pub host_compute_per_iter: f64,
-    /// Final values of every variable, by variable index.
-    pub final_model: HashMap<usize, Tensor>,
-    /// Sum of every process's traced span bytes (must equal the merged
-    /// ledger's `total_network_bytes`, asserted at merge time).
-    pub traced_span_bytes: u64,
-    /// Process generations spawned (1 = no recovery needed).
-    pub generations: usize,
-}
 
 /// Every role of a spec, chief first, in stable launch order.
 pub fn roles_of(spec: &ClusterSpec) -> Vec<Role> {
@@ -595,151 +479,121 @@ pub fn roles_of(spec: &ClusterSpec) -> Vec<Role> {
     roles
 }
 
-/// Spawns the fleet for `spec` (one `repro dist` process per role),
-/// respawning whole generations from the chief's checkpoint on failure
-/// up to `spec.max_recoveries` times, and merges the surviving
-/// generation's artifacts. Fresh ports are allocated per generation
-/// (sidestepping TIME_WAIT), and the spec file is rewritten so every
-/// process of a generation sees the same addresses.
-pub fn launch(
-    program: &Path,
-    spec: &mut ClusterSpec,
+/// The multi-process [`Fleet`]: each attempt is one generation of `repro
+/// dist --role` processes, one per role, on fresh ports (sidestepping
+/// TIME_WAIT). The spec file is rewritten per generation so every
+/// process of a generation sees the same addresses. A generation
+/// reports its roles only when every process exits cleanly, every
+/// artifact passes its CRCs, and the summed traced span bytes equal the
+/// merged measured network bytes.
+pub struct ProcessFleet {
+    program: PathBuf,
+    spec: ClusterSpec,
     deadline: Duration,
-) -> Result<MergedRun, String> {
-    let artifact_dir = PathBuf::from(&spec.artifact_dir);
-    std::fs::create_dir_all(&artifact_dir)
-        .map_err(|e| format!("create {}: {e}", artifact_dir.display()))?;
-    let job = DistJob::build(spec)?;
-    let roles = roles_of(spec);
-    let mut generation = 0usize;
-    loop {
-        spec.ports =
-            free_local_ports(spec.num_endpoints()).map_err(|e| format!("port alloc: {e}"))?;
-        let spec_path = artifact_dir.join("CLUSTER.json");
-        std::fs::write(&spec_path, spec.to_json())
+}
+
+impl ProcessFleet {
+    /// A fleet running `spec` from `program`, each generation under
+    /// `deadline`. The run owns its fired-fault log, so a stale one is
+    /// removed here.
+    pub fn new(program: &Path, spec: &ClusterSpec, deadline: Duration) -> Result<Self, String> {
+        let dir = Path::new(&spec.artifact_dir);
+        std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+        remove_stale(&dir.join(FAULT_LOG)).map_err(|e| e.to_string())?;
+        Ok(ProcessFleet {
+            program: program.to_path_buf(),
+            spec: spec.clone(),
+            deadline,
+        })
+    }
+
+    /// Spawns one generation and reads back every role's report and
+    /// the generation's merged traffic.
+    fn generation(
+        &mut self,
+        iterations: usize,
+    ) -> Result<(Vec<RoleReport>, TrafficReport), String> {
+        self.spec.iterations = iterations;
+        let dir = PathBuf::from(&self.spec.artifact_dir);
+        self.spec.ports =
+            free_local_ports(self.spec.num_endpoints()).map_err(|e| format!("port alloc: {e}"))?;
+        let spec_path = dir.join("CLUSTER.json");
+        std::fs::write(&spec_path, self.spec.to_json())
             .map_err(|e| format!("write {}: {e}", spec_path.display()))?;
-        // Stale artifacts from a failed generation would carry the
-        // wrong resume point; every generation starts clean.
-        for role in &roles {
-            let _ = std::fs::remove_file(artifact_dir.join(artifact_name(*role)));
+        let roles = roles_of(&self.spec);
+        // A failed generation's artifacts must not be read as this one's.
+        for &role in &roles {
+            let _ = std::fs::remove_file(dir.join(artifact_name(assignment(role))));
         }
-        let cmds: Vec<(String, Command)> = roles
-            .iter()
-            .map(|role| {
-                let mut cmd = Command::new(program);
-                cmd.arg("dist")
-                    .arg("--role")
-                    .arg(role.name())
-                    .arg("--index")
-                    .arg(role.index().to_string())
-                    .arg("--spec")
-                    .arg(&spec_path);
-                (role.to_string(), cmd)
-            })
-            .collect();
-        let mut fleet = Fleet::spawn(cmds).map_err(|e| format!("spawn fleet: {e}"))?;
-        match fleet.wait_all(deadline) {
-            FleetOutcome::AllOk => return merge(&job, spec, generation + 1),
+        let cmds = roles.iter().map(|role| {
+            let mut cmd = Command::new(&self.program);
+            cmd.arg("dist")
+                .args(["--role", role.name(), "--index", &role.index().to_string()])
+                .arg("--spec")
+                .arg(&spec_path);
+            (role.to_string(), cmd)
+        });
+        let mut fleet =
+            parallax_net::Fleet::spawn(cmds.collect()).map_err(|e| format!("spawn fleet: {e}"))?;
+        match fleet.wait_all(self.deadline) {
+            FleetOutcome::AllOk => {}
             FleetOutcome::Failed { label, code } => {
-                if spec.checkpoint.is_empty() || generation >= spec.max_recoveries {
-                    return Err(format!(
-                        "generation {generation}: {label} exited with code {code:?} \
-                         (recovery budget exhausted or no checkpoint configured)"
-                    ));
-                }
-                eprintln!(
-                    "[parallax-net] generation {generation}: {label} exited with code \
-                     {code:?}; respawning fleet from latest checkpoint"
-                );
-                generation += 1;
+                return Err(format!("{label} exited with code {code:?}"))
             }
             FleetOutcome::DeadlineExpired { still_running } => {
                 return Err(format!(
-                    "generation {generation}: deadline {deadline:?} expired with \
-                     [{}] still running",
+                    "deadline {:?} expired with [{}] still running",
+                    self.deadline,
                     still_running.join(", ")
-                ));
+                ))
             }
+        }
+        let (mut reports, mut traffic, mut traced) = (Vec::new(), TrafficReport::default(), 0);
+        for role in roles {
+            let artifact = RoleArtifact::read(&dir.join(artifact_name(assignment(role))))?;
+            traffic.merge_from(&artifact.traffic);
+            traced += artifact.span_bytes;
+            reports.push(artifact.report);
+        }
+        // Cross-process half of the byte crosscheck: sender-attributed
+        // trace spans must account for every measured network byte.
+        let measured = traffic.total_network_bytes();
+        if traced != measured {
+            return Err(format!(
+                "traced span bytes {traced} != measured network bytes {measured}"
+            ));
+        }
+        Ok((reports, traffic))
+    }
+}
+
+impl Fleet for ProcessFleet {
+    /// One generation; each role process loads its resume point itself
+    /// ([`role_main`]). A failed generation leaves no ledger, so a
+    /// recovered run's traffic counts the successful generation only.
+    fn attempt(&mut self, _runner: &Runner, iterations: usize) -> Attempt {
+        match self.generation(iterations) {
+            Ok((roles, traffic)) => Attempt {
+                roles: Ok(roles),
+                traffic: Some(traffic),
+            },
+            Err(e) => Attempt {
+                roles: Err(CoreError::Worker(e)),
+                traffic: None,
+            },
         }
     }
 }
 
-/// Reads every role artifact of the successful generation and folds
-/// them exactly the way `run_attempt`'s thread scope does.
-fn merge(job: &DistJob, spec: &ClusterSpec, generations: usize) -> Result<MergedRun, String> {
-    let artifact_dir = PathBuf::from(&spec.artifact_dir);
-    let artifacts: Vec<RoleArtifact> = roles_of(spec)
-        .into_iter()
-        .map(|role| RoleArtifact::read(&artifact_dir.join(artifact_name(role))))
-        .collect::<Result<_, _>>()?;
-
-    let start_iter = artifacts[0].start_iter;
-    if artifacts.iter().any(|a| a.start_iter != start_iter) {
-        return Err("artifacts disagree on the resume iteration".into());
-    }
-
-    let workers = spec.machines * spec.gpus_per_machine;
-    let per_worker: Vec<Vec<f32>> = artifacts[..workers]
-        .iter()
-        .map(|a| a.losses.clone())
-        .collect();
-    let mean = mean_worker_losses(&per_worker);
-    let mut losses = vec![0.0f32; spec.iterations];
-    for (slot, &l) in losses[start_iter..].iter_mut().zip(&mean) {
-        *slot = l;
-    }
-
-    if artifacts[0].store.is_empty() {
-        return Err("chief artifact carries no replica store".into());
-    }
-    let chief = VarStore::from_values(artifacts[0].store.clone());
-    let shard_values: Vec<((VarId, usize), Tensor)> = artifacts
-        .iter()
-        .flat_map(|a| {
-            a.shards.iter().map(|((var, part), t)| {
-                (
-                    (VarId::from_index(*var as usize), *part as usize),
-                    t.clone(),
-                )
-            })
-        })
-        .collect();
-    let final_model = job
-        .runner
-        .stitch_final_model(&chief, shard_values)
-        .map_err(|e| e.to_string())?;
-
-    let mut traffic = TrafficReport::default();
-    let mut traced_span_bytes = 0u64;
-    for a in &artifacts {
-        traffic.merge_from(&a.traffic);
-        traced_span_bytes += a.span_bytes;
-    }
-    // Cross-process half of the byte crosscheck: sender-attributed
-    // trace spans must account for every measured network byte.
-    let measured = traffic.total_network_bytes();
-    if traced_span_bytes != measured {
-        return Err(format!(
-            "traced span bytes {traced_span_bytes} != measured network bytes {measured}"
-        ));
-    }
-
-    let attempt_iters = (spec.iterations - start_iter).max(1);
-    let host_compute_per_iter = artifacts[..workers]
-        .iter()
-        .map(|a| a.compute_secs)
-        .fold(0.0, f64::max)
-        / attempt_iters as f64;
-
-    Ok(MergedRun {
-        losses,
-        grad_norms: artifacts[0].norms.clone(),
-        traffic,
-        host_compute_per_iter,
-        final_model,
-        traced_span_bytes,
-        generations,
-    })
+/// Runs `spec` as a supervised [`ProcessFleet`]: the same recovery loop
+/// and fold as [`Runner::run`], with whole generations respawned from
+/// the chief's checkpoint up to `spec.max_recoveries` times.
+pub fn launch(program: &Path, spec: &ClusterSpec, deadline: Duration) -> Result<RunReport, String> {
+    let mut fleet = ProcessFleet::new(program, spec, deadline)?;
+    let job = DistJob::build(spec)?;
+    job.runner
+        .supervise(spec.iterations, &mut fleet)
+        .map_err(|e| e.to_string())
 }
 
 // ---------------------------------------------------------------------------
@@ -797,35 +651,98 @@ fn bitwise_eq(a: &[f32], b: &[f32]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// One preset's equivalence check: in-process run vs socket run from
-/// the identical spec, plus the static per-iteration prediction.
-fn check_preset(out: &mut String, program: &Path, mut spec: ClusterSpec) -> Result<bool, String> {
-    let label = format!(
-        "{} on {} machine(s) x {} GPU(s), wire {}",
-        spec.preset,
-        spec.machines,
-        spec.gpus_per_machine,
-        if spec.wire_format.is_empty() {
-            "f32"
-        } else {
-            &spec.wire_format
-        }
+fn tensor_eq(a: &Tensor, b: &Tensor) -> bool {
+    a.shape() == b.shape() && bitwise_eq(a.data(), b.data())
+}
+
+/// Appends `what` and the verdict `EQUAL` or `DIFFER` to the report,
+/// returning `eq`.
+fn row(out: &mut String, what: String, eq: bool) -> bool {
+    let _ = writeln!(out, "{what} {}", if eq { "EQUAL" } else { "DIFFER" });
+    eq
+}
+
+/// The equivalence verdict over an in-process and a socket run of one
+/// job: bitwise losses and final weights, byte-identical per-class
+/// traffic, and non-zero network bytes in the nccl and ps classes.
+fn runs_equivalent(out: &mut String, reference: &RunReport, sockets: &RunReport) -> bool {
+    let n = sockets.losses.len();
+    let losses_eq = bitwise_eq(&reference.losses, &sockets.losses);
+    let mut ok = row(out, format!("losses: {n} iterations, bitwise"), losses_eq);
+    let (r, m) = (&reference.final_model, &sockets.final_model);
+    let weights_eq = r.len() == m.len()
+        && r.iter()
+            .all(|(var, t)| m.get(var).is_some_and(|x| tensor_eq(t, x)));
+    ok &= row(
+        out,
+        format!("final model: {} variables, bitwise", r.len()),
+        weights_eq,
     );
-    let _ = writeln!(out, "-- dist-check: {label} --");
+    let pairs = ledgers(&reference.traffic)
+        .into_iter()
+        .zip(ledgers(&sockets.traffic));
+    for (name, (r, m)) in LEDGERS.into_iter().zip(pairs) {
+        let (rb, mb) = (
+            r.total_network_bytes() + r.intra_bytes(),
+            m.total_network_bytes() + m.intra_bytes(),
+        );
+        ok &= row(
+            out,
+            format!("traffic[{name}]: in-process {rb} B / sockets {mb} B, per-link"),
+            r == m,
+        );
+    }
+    classes_carry_bytes(out, &sockets.traffic) && ok
+}
 
-    // In-process reference from the very same spec-derived job.
-    let job = DistJob::build(&spec)?;
-    let reference = job
-        .runner
-        .run(spec.iterations, |w, i| job.feed(w, i))
-        .map_err(|e| e.to_string())?;
+/// Whether two runs' final checkpoints load to bitwise-equal restore
+/// points and their serving snapshots are byte-identical.
+fn persisted_equal(
+    out: &mut String,
+    graph: &Graph,
+    a: &ClusterSpec,
+    b: &ClusterSpec,
+) -> Result<bool, String> {
+    let load = |spec: &ClusterSpec| -> Result<_, String> {
+        let path = |name: &str| Path::new(&spec.artifact_dir).join(name);
+        let (rp, step) =
+            RestorePoint::load(graph, &path(&spec.checkpoint)).map_err(|e| e.to_string())?;
+        let snapshot = std::fs::read(path(&spec.snapshot)).map_err(|e| e.to_string())?;
+        Ok((step, rp, snapshot))
+    };
+    let ((step_a, ra, sa), (step_b, rb, sb)) = (load(a)?, load(b)?);
+    // Both restore points hold every variable of `graph`, in graph order.
+    let stores = std::iter::zip(ra.store.values(), rb.store.values());
+    let slots = std::iter::zip(ra.slots.values(), rb.slots.values());
+    let ckpt_eq = step_a == step_b
+        && ra.slots.keys().eq(rb.slots.keys())
+        && stores.chain(slots).all(|(x, y)| tensor_eq(x, y));
+    let ckpt = row(
+        out,
+        format!("checkpoint: step {step_a} / {step_b}, bitwise"),
+        ckpt_eq,
+    );
+    let snap = row(
+        out,
+        format!("snapshot: {} B / {} B, bytes", sa.len(), sb.len()),
+        sa == sb,
+    );
+    Ok(ckpt && snap)
+}
 
-    // Static prediction, summed per iteration (feeds are
-    // iteration-dependent, so each iteration is predicted on its own
-    // feeds and the per-class ledgers accumulate).
+/// Whether the static per-iteration prediction, summed over the run,
+/// equals the measured per-class traffic (feeds are
+/// iteration-dependent, so each iteration is predicted on its own feeds
+/// and the per-class ledgers accumulate).
+fn prediction_matches(
+    out: &mut String,
+    job: &DistJob,
+    iterations: usize,
+    measured: &TrafficReport,
+) -> Result<bool, String> {
     let workers = job.runner.topology().num_workers();
     let mut predicted = TrafficReport::default();
-    for i in 0..spec.iterations {
+    for i in 0..iterations {
         let feeds: Vec<Feed> = (0..workers).map(|w| job.feed(w, i)).collect();
         let (p, conservation) = predict_iteration_traffic(
             job.graph(),
@@ -844,94 +761,75 @@ fn check_preset(out: &mut String, program: &Path, mut spec: ClusterSpec) -> Resu
         }
         predicted.merge_from(&p);
     }
-
-    // The socket run.
-    let merged = launch(program, &mut spec, GENERATION_DEADLINE)?;
-    let _ = std::fs::remove_dir_all(&spec.artifact_dir);
-
-    let mut ok = true;
-    let losses_eq = bitwise_eq(&reference.losses, &merged.losses);
-    let _ = writeln!(
-        out,
-        "losses: {} iterations, bitwise {}",
-        merged.losses.len(),
-        if losses_eq { "EQUAL" } else { "DIFFER" }
-    );
-    ok &= losses_eq;
-
-    let mut weights_eq = reference.final_model.len() == merged.final_model.len();
-    for (var, t) in &reference.final_model {
-        match merged.final_model.get(var) {
-            Some(m) => weights_eq &= bitwise_eq(t.data(), m.data()),
-            None => weights_eq = false,
-        }
-    }
-    let _ = writeln!(
-        out,
-        "final model: {} variables, bitwise {}",
-        reference.final_model.len(),
-        if weights_eq { "EQUAL" } else { "DIFFER" }
-    );
-    ok &= weights_eq;
-
-    let classes = [
-        ("nccl", &reference.traffic.nccl, &merged.traffic.nccl),
-        ("mpi", &reference.traffic.mpi, &merged.traffic.mpi),
-        ("ps", &reference.traffic.ps, &merged.traffic.ps),
-        (
-            "local_agg",
-            &reference.traffic.local_agg,
-            &merged.traffic.local_agg,
-        ),
-        ("other", &reference.traffic.other, &merged.traffic.other),
-    ];
-    for (name, r, m) in classes {
-        let eq = r == m;
-        let _ = writeln!(
-            out,
-            "traffic[{name}]: in-process {} B / sockets {} B, per-link {}",
-            r.total_network_bytes() + r.intra_bytes(),
-            m.total_network_bytes() + m.intra_bytes(),
-            if eq { "EQUAL" } else { "DIFFER" }
-        );
-        ok &= eq;
-    }
-
-    ok &= classes_carry_bytes(out, &merged.traffic);
-
-    let pred_classes = [
-        ("nccl", &predicted.nccl, &merged.traffic.nccl),
-        ("mpi", &predicted.mpi, &merged.traffic.mpi),
-        ("ps", &predicted.ps, &merged.traffic.ps),
-        ("local_agg", &predicted.local_agg, &merged.traffic.local_agg),
-        ("other", &predicted.other, &merged.traffic.other),
-    ];
-    let pred_eq = pred_classes.iter().all(|(_, p, m)| p == m);
-    let _ = writeln!(
-        out,
-        "static prediction: {} B predicted == {} B measured: {}",
+    let eq = ledgers(&predicted).into_iter().eq(ledgers(measured));
+    let (p, m) = (
         predicted.total_network_bytes(),
-        merged.traffic.total_network_bytes(),
-        if pred_eq { "EQUAL" } else { "DIFFER" }
+        measured.total_network_bytes(),
     );
-    ok &= pred_eq;
-
-    let _ = writeln!(
+    Ok(row(
         out,
-        "traced spans: {} B == measured {} B (asserted at merge)",
-        merged.traced_span_bytes,
-        merged.traffic.total_network_bytes()
+        format!("static prediction: {p} B predicted == {m} B measured:"),
+        eq,
+    ))
+}
+
+/// One case's equivalence check: an in-process run and a socket run of
+/// the identical spec, each in its own artifact directory. Cases that
+/// persist compare their final checkpoints and snapshots; the others
+/// compare against the static prediction, which does not model the
+/// chief's checkpoint-boundary shard fetches.
+fn check_preset(out: &mut String, program: &Path, spec: ClusterSpec) -> Result<bool, String> {
+    let persists = !spec.checkpoint.is_empty();
+    let persisted = if persists {
+        ", checkpoint + snapshot"
+    } else {
+        ""
+    };
+    let label = format!(
+        "{} on {} machine(s) x {} GPU(s), wire {}{persisted}",
+        spec.preset, spec.machines, spec.gpus_per_machine, spec.wire_format,
     );
+    let _ = writeln!(out, "-- dist-check: {label} --");
+
+    let ref_spec = ClusterSpec {
+        artifact_dir: format!("{}_ref", spec.artifact_dir),
+        ..spec.clone()
+    };
+    std::fs::create_dir_all(&ref_spec.artifact_dir).map_err(|e| e.to_string())?;
+    let job = DistJob::build(&ref_spec)?;
+    let checked = job
+        .runner
+        .run(spec.iterations, |w, i| job.feed(w, i))
+        .map_err(|e| e.to_string())
+        .and_then(|reference| {
+            let sockets = launch(program, &spec, GENERATION_DEADLINE)?;
+            let ok = runs_equivalent(out, &reference, &sockets)
+                & if persists {
+                    persisted_equal(out, job.graph(), &ref_spec, &spec)?
+                } else {
+                    prediction_matches(out, &job, spec.iterations, &sockets.traffic)?
+                };
+            let _ = writeln!(
+                out,
+                "traced spans == measured {} B (checked per generation)",
+                sockets.traffic.total_network_bytes()
+            );
+            Ok(ok)
+        });
+    let _ = std::fs::remove_dir_all(&spec.artifact_dir);
+    let _ = std::fs::remove_dir_all(&ref_spec.artifact_dir);
+    let ok = checked?;
     let _ = writeln!(out, "{label}: {}\n", if ok { "PASS" } else { "FAIL" });
     Ok(ok)
 }
 
-/// The `repro dist-check` gate: for both presets, launch a local
-/// process topology and assert the equivalence guarantee — same seed
-/// and plan, bitwise-identical losses and final weights, byte-identical
-/// per-class traffic (predicted == traced == measured) between the
-/// in-process and socket modes. `program` is the `repro` binary to
-/// spawn role processes from (normally `current_exe`).
+/// The `repro dist-check` gate: for every case, launch a local process
+/// topology and assert the equivalence guarantee — same seed and plan,
+/// bitwise-identical losses and final weights, byte-identical per-class
+/// traffic (predicted == traced == measured) between the in-process and
+/// socket modes, and, across checkpoint boundaries, bitwise-equal
+/// checkpoints and byte-identical snapshots. `program` is the `repro`
+/// binary to spawn role processes from (normally `current_exe`).
 pub fn run(program: &Path) -> (String, bool) {
     let mut out = String::new();
     let _ = writeln!(out, "== Distributed equivalence: in-process vs sockets ==");
@@ -944,6 +842,17 @@ pub fn run(program: &Path) -> (String, bool) {
         // nmt crosses a (modelled) machine boundary, so per-link bytes
         // in the merged ledger cover genuinely inter-process links.
         check_spec("nmt", 2, 1, "f32"),
+        // lm past two checkpoint boundaries: the chief fetches every
+        // shard and publishes a checkpoint and a snapshot at steps 2
+        // and 4 in both modes.
+        ClusterSpec {
+            iterations: 5,
+            artifact_dir: temp_artifact_dir("lm_persist").display().to_string(),
+            checkpoint: "run.ckpt".into(),
+            snapshot: "run.snap".into(),
+            checkpoint_interval: 2,
+            ..check_spec("lm", 2, 2, "f32")
+        },
     ] {
         match check_preset(&mut out, program, spec) {
             Ok(ok) => all_ok &= ok,
@@ -961,7 +870,9 @@ pub fn run(program: &Path) -> (String, bool) {
 mod tests {
     use super::*;
 
-    fn artifact() -> RoleArtifact {
+    use std::collections::HashMap;
+
+    fn traffic() -> TrafficReport {
         let snap = |seed: u64| TrafficSnapshot {
             out_bytes: vec![seed, seed + 1],
             in_bytes: vec![seed + 2, seed + 3],
@@ -970,23 +881,46 @@ mod tests {
             inter_messages: seed + 7,
             intra_messages: seed + 8,
         };
-        RoleArtifact {
-            role: Role::Worker { index: 3 },
-            start_iter: 2,
-            span_bytes: 99,
-            losses: vec![1.5, -0.25],
-            norms: vec![0.5],
-            compute_secs: 1.25,
-            store: vec![Tensor::zeros([2, 2]), Tensor::full([3], 7.0)],
-            shards: vec![((4, 1), Tensor::full([2], -1.0))],
-            traffic: TrafficReport {
-                nccl: snap(10),
-                mpi: snap(20),
-                ps: snap(30),
-                local_agg: snap(40),
-                other: snap(50),
-            },
+        TrafficReport {
+            nccl: snap(10),
+            mpi: snap(20),
+            ps: snap(30),
+            local_agg: snap(40),
+            other: snap(50),
         }
+    }
+
+    /// A worker artifact (`server: false`) or a server artifact.
+    fn artifact_of(server: bool) -> RoleArtifact {
+        let (role, output) = if server {
+            let shards = vec![((VarId::from_index(4), 1), Tensor::full([2], -1.0))];
+            (
+                RoleAssignment::Server { machine: 1 },
+                RoleOutput::Server { shards },
+            )
+        } else {
+            let store = vec![Tensor::zeros([2, 2]), Tensor::full([3], 7.0)];
+            let output = RoleOutput::Worker {
+                losses: vec![1.5, -0.25],
+                norms: vec![0.5],
+                compute_secs: 1.25,
+                store: VarStore::from_values(store),
+            };
+            (RoleAssignment::Worker { index: 3 }, output)
+        };
+        RoleArtifact {
+            report: RoleReport {
+                role,
+                start_iter: 2,
+                output,
+            },
+            span_bytes: 99,
+            traffic: traffic(),
+        }
+    }
+
+    fn artifact() -> RoleArtifact {
+        artifact_of(false)
     }
 
     fn temp_path(name: &str) -> PathBuf {
@@ -1003,23 +937,44 @@ mod tests {
 
     #[test]
     fn artifact_roundtrips() {
-        let a = artifact();
-        let (path, _) = written("roundtrip");
-        let b = RoleArtifact::read(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(b.role, Role::Worker { index: 3 });
-        assert_eq!(b.start_iter, 2);
-        assert_eq!(b.span_bytes, 99);
-        assert_eq!(b.losses, a.losses);
-        assert_eq!(b.norms, a.norms);
-        assert_eq!(b.compute_secs.to_bits(), a.compute_secs.to_bits());
-        assert_eq!(b.store.len(), 2);
-        assert_eq!(b.store[0].shape().dims(), &[2, 2]);
-        assert_eq!(b.store[1].data(), &[7.0, 7.0, 7.0]);
-        assert_eq!(b.shards.len(), 1);
-        assert_eq!(b.shards[0], a.shards[0]);
-        for (got, want) in ledgers(&b.traffic).into_iter().zip(ledgers(&a.traffic)) {
-            assert_eq!(got, want);
+        for server in [false, true] {
+            let a = artifact_of(server);
+            let path = temp_path(&format!("roundtrip_{server}"));
+            a.write(&path).unwrap();
+            let b = RoleArtifact::read(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            assert_eq!(b.report.role, a.report.role);
+            assert_eq!(b.report.start_iter, 2);
+            assert_eq!(b.span_bytes, 99);
+            match (&b.report.output, &a.report.output) {
+                (
+                    RoleOutput::Worker {
+                        losses,
+                        norms,
+                        compute_secs,
+                        store,
+                    },
+                    RoleOutput::Worker {
+                        losses: l,
+                        norms: n,
+                        compute_secs: c,
+                        ..
+                    },
+                ) => {
+                    assert_eq!((losses, norms), (l, n));
+                    assert_eq!(compute_secs.to_bits(), c.to_bits());
+                    assert_eq!(store.values().len(), 2);
+                    assert_eq!(store.values()[0].shape().dims(), &[2, 2]);
+                    assert_eq!(store.values()[1].data(), &[7.0, 7.0, 7.0]);
+                }
+                (RoleOutput::Server { shards }, RoleOutput::Server { shards: want }) => {
+                    assert_eq!(shards, want);
+                }
+                _ => panic!("role kind changed in the roundtrip"),
+            }
+            for (got, want) in ledgers(&b.traffic).into_iter().zip(ledgers(&a.traffic)) {
+                assert_eq!(got, want);
+            }
         }
     }
 
@@ -1086,7 +1041,7 @@ mod tests {
             out.contains("traffic[nccl]: 0 B across machines: ZERO"),
             "{out}"
         );
-        let mut traffic = artifact().traffic;
+        let mut traffic = traffic();
         assert!(classes_carry_bytes(&mut String::new(), &traffic));
         traffic.ps = TrafficSnapshot::default();
         assert!(!classes_carry_bytes(&mut String::new(), &traffic));
@@ -1105,5 +1060,47 @@ mod tests {
             panic!("bogus wire format accepted")
         };
         assert!(e.contains("unknown wire format"));
+    }
+
+    fn report() -> RunReport {
+        RunReport {
+            losses: vec![2.5, 1.75, 1.5],
+            grad_norms: Vec::new(),
+            traffic: traffic(),
+            iterations: 3,
+            host_compute_per_iter: 0.0,
+            final_model: HashMap::from([(0, Tensor::full([3], 0.5)), (1, Tensor::zeros([2]))]),
+            wall_seconds: 0.0,
+            attempts: 1,
+        }
+    }
+
+    fn flip(x: &mut f32) {
+        *x = f32::from_bits(x.to_bits() ^ 1);
+    }
+
+    #[test]
+    fn run_comparison_rejects_each_seeded_defect() {
+        let base = report();
+        let mut out = String::new();
+        assert!(runs_equivalent(&mut out, &base, &report()), "{out}");
+        let mut loss = report();
+        flip(&mut loss.losses[1]);
+        let mut weight = report();
+        flip(&mut weight.final_model.get_mut(&0).unwrap().data_mut()[2]);
+        let mut ledger = report();
+        ledger.traffic.mpi.out_bytes[0] += 1;
+        for (defect, run) in [
+            ("loss bit", loss),
+            ("weight bit", weight),
+            ("ledger byte", ledger),
+        ] {
+            let mut out = String::new();
+            assert!(
+                !runs_equivalent(&mut out, &base, &run),
+                "{defect} accepted:\n{out}"
+            );
+            assert!(out.contains("DIFFER"), "{defect}: {out}");
+        }
     }
 }

@@ -28,9 +28,9 @@ pub type SlotMap = BTreeMap<(String, String), Tensor>;
 /// Momentum/Adagrad resume bitwise, not just SGD.
 ///
 /// Public because multi-process roles (`repro dist`) load the chief's
-/// checkpoint themselves at respawn and hand it to
-/// [`crate::Runner::run_role`] — the same type the in-process recovery
-/// loop threads through `run`.
+/// checkpoint themselves at respawn ([`crate::Runner::resume_point`])
+/// and hand it to [`crate::Runner::run_role`], as the thread fleet does
+/// for every thread.
 #[derive(Debug, Clone)]
 pub struct RestorePoint {
     /// The checkpointed variable values.

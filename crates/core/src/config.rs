@@ -166,7 +166,9 @@ pub struct ParallaxConfig {
     pub machine_slowdown: Vec<f64>,
     /// Checkpoint file path (the paper's "file path to save trained
     /// variables"). `None` (the default) disables checkpointing and
-    /// recovery.
+    /// recovery. The run owns the file: one already there when the run
+    /// starts is removed as stale, so recovery only resumes from
+    /// checkpoints this run published.
     pub checkpoint_path: Option<std::path::PathBuf>,
     /// Iterations between checkpoints: the chief saves after every
     /// iteration where `(iter + 1) % interval == 0`. Must be `>= 1` when
@@ -191,7 +193,7 @@ pub struct ParallaxConfig {
     pub recv_deadline: Option<std::time::Duration>,
     /// How many detected failures the runner may recover from (restore
     /// the last checkpoint and resume) before giving up and returning
-    /// the error. Recovery requires `checkpoint_path`.
+    /// the first failure. Recovery requires `checkpoint_path`.
     pub max_recoveries: usize,
     /// Install the session-machine validator
     /// ([`parallax_comm::protocheck::SessionValidator`]) on every

@@ -37,6 +37,9 @@
 //! * [`runner`] — the `shard` / `get_runner` user API (Figure 3) and the
 //!   executed-mode distributed training loop over worker threads and
 //!   per-machine servers.
+//! * [`supervisor`] — the one recovery loop: attempts of a [`Fleet`]
+//!   (threads here, processes in `repro dist`), the resume rule, and the
+//!   fold from per-role outputs to a [`RunReport`].
 //! * [`analytic`] — paper-scale workload descriptions driven through the
 //!   same transfer formulas and the cluster cost model to produce
 //!   throughput for every evaluation table and figure.
@@ -54,6 +57,7 @@ pub mod snapshot;
 pub mod sparsity;
 pub mod strategize;
 pub mod strategy;
+pub mod supervisor;
 pub mod transfer;
 pub mod transform;
 
@@ -68,6 +72,7 @@ pub use runner::{
 };
 pub use strategize::{plan_search, SearchReport};
 pub use strategy::{fixed_strategies, Strategy, StrategyPlan};
+pub use supervisor::{Attempt, Fleet, RoleReport};
 pub use transform::DistributedPlan;
 
 /// Crate-wide result type.

@@ -4,9 +4,10 @@
 //! `get_runner` turns a single-GPU graph plus resource information into
 //! a runnable distributed job. `Runner::run` spawns one worker thread
 //! per GPU and one server thread per machine (when the plan needs
-//! servers), executes synchronous hybrid training, and reports losses,
-//! measured traffic by transport class, and a simulated iteration time
-//! on the calibrated cluster model.
+//! servers) under the recovery supervisor ([`crate::supervisor`]),
+//! executes synchronous hybrid training, and reports losses, measured
+//! traffic by transport class, and a simulated iteration time on the
+//! calibrated cluster model.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -15,7 +16,8 @@ use std::time::Instant;
 use parallax_cluster::{
     CalibrationProfile, ClusterModel, IterationSim, Phase, SparseOpCost, Transport,
 };
-use parallax_comm::{collectives, Endpoint, Router, TrafficClass, TrafficSnapshot};
+use parallax_comm::protocheck::SessionValidator;
+use parallax_comm::{collectives, Endpoint, TrafficClass, TrafficSnapshot, TrafficStats};
 use parallax_dataflow::grad::backward;
 use parallax_dataflow::{Feed, Graph, NodeId, Session, VarId, VarStore};
 use parallax_fault::FaultInjector;
@@ -24,12 +26,12 @@ use parallax_ps::{
     VarPlacement,
 };
 use parallax_tensor::{sparse::Grad, DetRng, Tensor};
-use parking_lot::Mutex;
 
 use crate::checkpoint::{RestorePoint, SlotMap};
 use crate::config::ParallaxConfig;
 use crate::partition::{self, SearchResult};
 use crate::sparsity::SparsityProfile;
+use crate::supervisor::ThreadFleet;
 use crate::transform::DistributedPlan;
 use crate::{CoreError, Result};
 
@@ -68,10 +70,9 @@ pub enum RoleAssignment {
     },
 }
 
-/// What one executed role produced — the per-process half of a
-/// [`RunReport`], merged by the launcher (or by `run_attempt`'s thread
-/// scope) with [`mean_worker_losses`] and
-/// [`Runner::stitch_final_model`].
+/// What one executed role produced: the per-role half of a
+/// [`RunReport`], folded by [`Runner::supervise`] with
+/// [`mean_worker_losses`] and [`Runner::stitch_final_model`].
 #[derive(Debug)]
 pub enum RoleOutput {
     /// A worker's training series and its final replica state.
@@ -93,9 +94,8 @@ pub enum RoleOutput {
     },
 }
 
-/// Mean loss per iteration across workers — the exact worker-order fold
-/// `run_attempt` applies, shared with the multi-process artifact merge
-/// so both paths produce bitwise-identical series.
+/// Mean loss per iteration across workers, folded in worker order so
+/// every caller produces bitwise-identical series.
 pub fn mean_worker_losses(per_worker: &[Vec<f32>]) -> Vec<f32> {
     let workers = per_worker.len();
     let iters = per_worker.iter().map(Vec::len).max().unwrap_or(0);
@@ -129,6 +129,17 @@ pub struct TrafficReport {
 }
 
 impl TrafficReport {
+    /// Snapshots one traffic accountant by class.
+    pub fn from_stats(stats: &TrafficStats) -> TrafficReport {
+        TrafficReport {
+            nccl: stats.class_snapshot(TrafficClass::Nccl),
+            mpi: stats.class_snapshot(TrafficClass::Mpi),
+            ps: stats.class_snapshot(TrafficClass::Ps),
+            local_agg: stats.class_snapshot(TrafficClass::LocalAgg),
+            other: stats.class_snapshot(TrafficClass::Default),
+        }
+    }
+
     /// Accumulates another report's per-class traffic into this one.
     /// Recovery re-creates the router (and therefore the ledger) per
     /// attempt; merging keeps the whole-run totals cross-checkable
@@ -161,12 +172,16 @@ impl TrafficReport {
 /// The result of an executed run.
 #[derive(Debug, Clone)]
 pub struct RunReport {
-    /// Mean training loss per iteration (averaged over workers).
+    /// Mean training loss per iteration (averaged over workers); zero
+    /// before the final attempt's resume step after a recovery.
     pub losses: Vec<f32>,
     /// Global gradient norm per iteration (aggregated gradients, from the
-    /// chief's trace reads); empty unless `trace_gradients` is set.
+    /// chief's trace reads); empty unless `trace_gradients` is set, and
+    /// zero-padded like `losses` before a recovered run's resume step.
     pub grad_norms: Vec<f32>,
-    /// Measured traffic (whole run).
+    /// Measured traffic, summed over every attempt that reported it (a
+    /// failed `repro dist` generation reports none, so a recovered socket
+    /// run counts its successful generation only).
     pub traffic: TrafficReport,
     /// Iterations executed.
     pub iterations: usize,
@@ -177,6 +192,8 @@ pub struct RunReport {
     pub final_model: HashMap<usize, Tensor>,
     /// Wall-clock seconds for the whole run.
     pub wall_seconds: f64,
+    /// Attempts the run took (1 = no recovery needed).
+    pub attempts: usize,
 }
 
 impl RunReport {
@@ -508,272 +525,89 @@ impl Runner {
         Ok((self.with_partitions(result.best)?, result))
     }
 
-    /// Executes `iterations` of synchronous data-parallel training.
+    /// Executes `iterations` of synchronous data-parallel training: one
+    /// thread per role over the in-process router, supervised by
+    /// [`Runner::supervise`].
     ///
     /// `feed_fn(worker, iter)` supplies each worker's mini-batch (use
     /// [`shard_range`] to cut a dataset into disjoint shards).
     ///
     /// When `checkpoint_path` is configured the chief saves a consistent
     /// checkpoint (variables, optimizer slots and step) every
-    /// `checkpoint_interval` iterations, and on a detected failure — a
+    /// `checkpoint_interval` iterations, and a detected failure (a
     /// fault-injected kill, or any worker/server error surfaced within
-    /// the receive deadline — the runner tears the attempt down,
-    /// restores the latest checkpoint, and resumes from its step, up to
-    /// `max_recoveries` times. Iterations replayed before the first
-    /// checkpoint restart from the initial seeded state. Traffic is
-    /// accumulated across attempts so the byte crosscheck against the
-    /// trace ledger holds under fault injection; `losses` entries for
-    /// iterations that only completed inside a failed attempt are zero.
+    /// the receive deadline) is recovered from that checkpoint up to
+    /// `max_recoveries` times. A checkpoint left at the path by an
+    /// earlier run is removed before the first attempt.
     pub fn run<F>(&self, iterations: usize, feed_fn: F) -> Result<RunReport>
     where
         F: Fn(usize, usize) -> Feed + Send + Sync,
     {
-        let started = Instant::now();
-        // One injector for the whole run: every fault fires at most
-        // once, so a recovery replay does not re-kill the same worker.
         let injector = Arc::new(FaultInjector::new(self.config.fault_plan.clone()));
-        let mut traffic = TrafficReport::default();
-        let mut losses = vec![0.0f32; iterations];
-        let mut start_iter = 0usize;
-        let mut restore: Option<RestorePoint> = None;
-        let mut recoveries = 0usize;
-        loop {
-            match self.run_attempt(
-                iterations,
-                start_iter,
-                restore.as_ref(),
-                &feed_fn,
-                &injector,
-                &mut traffic,
-            ) {
-                Ok(mut report) => {
-                    for (slot, &l) in losses[start_iter..].iter_mut().zip(&report.losses) {
-                        *slot = l;
-                    }
-                    report.losses = losses;
-                    report.traffic = traffic;
-                    report.wall_seconds = started.elapsed().as_secs_f64();
-                    return Ok(report);
-                }
-                Err(err) => {
-                    {
-                        let _detect =
-                            parallax_trace::span(parallax_trace::SpanCat::Phase, "fault.detect");
-                        parallax_trace::counter("fault.detected").add(1);
-                    }
-                    if self.config.checkpoint_path.is_none()
-                        || recoveries >= self.config.max_recoveries
-                    {
-                        return Err(err);
-                    }
-                    recoveries += 1;
-                    let _recover =
-                        parallax_trace::span(parallax_trace::SpanCat::Phase, "fault.recover");
-                    parallax_trace::counter("fault.recovered").add(1);
-                    let path = self.config.checkpoint_path.as_ref().expect("checked above");
-                    if path.exists() {
-                        let (rp, step) = RestorePoint::load(&self.graph, path)?;
-                        eprintln!(
-                            "parallax: failure detected ({err}); recovering from \
-                             checkpoint at step {step}"
-                        );
-                        start_iter = step as usize;
-                        restore = Some(rp);
-                    } else {
-                        eprintln!(
-                            "parallax: failure detected ({err}) before any checkpoint; \
-                             restarting from initial state"
-                        );
-                        start_iter = 0;
-                        restore = None;
-                    }
-                }
+        let feed_fn = &feed_fn;
+        self.supervise(iterations, &mut ThreadFleet { feed_fn, injector })
+    }
+
+    /// The run's resume point: the checkpoint at `checkpoint_path` and
+    /// its step when one exists, else the seeded initial state at step 0.
+    /// Every attempt's roles start here: the thread fleet loads it once
+    /// per attempt, every `repro dist` role process at startup. Both see
+    /// only checkpoints this run published, because the supervisor
+    /// removes a stale one first.
+    pub fn resume_point(&self) -> Result<(Option<RestorePoint>, usize)> {
+        match &self.config.checkpoint_path {
+            Some(path) if path.exists() => {
+                let (rp, step) = RestorePoint::load(&self.graph, path)?;
+                Ok((Some(rp), step as usize))
             }
+            _ => Ok((None, 0)),
         }
     }
 
-    /// One execution attempt: iterations `start_iter..iterations`, with
-    /// every worker replica and server shard seeded from `restore` when
-    /// resuming from a checkpoint. The attempt's measured traffic is
-    /// merged into `traffic_total` whether it succeeds or fails — bytes
-    /// a doomed attempt moved were still physically sent and traced.
-    fn run_attempt<F>(
-        &self,
-        iterations: usize,
-        start_iter: usize,
-        restore: Option<&RestorePoint>,
-        feed_fn: &F,
-        injector: &Arc<FaultInjector>,
-        traffic_total: &mut TrafficReport,
-    ) -> Result<RunReport>
-    where
-        F: Fn(usize, usize) -> Feed + Send + Sync,
-    {
-        let started = Instant::now();
-        let needs_servers = self.plan.needs_servers();
-        let (mut endpoints, traffic) =
-            Router::build_with(self.topo.comm().clone(), Some(Arc::clone(injector)));
-        if let Some(d) = self.config.recv_deadline {
-            for ep in endpoints.iter_mut() {
-                ep.set_recv_deadline(d);
+    /// The transport rank `role` runs on; a typed error when the role
+    /// names a worker or machine the cluster does not have.
+    pub fn rank_of(&self, role: RoleAssignment) -> Result<usize> {
+        let (machines, workers) = (self.topo.num_machines(), self.topo.num_workers());
+        match role {
+            RoleAssignment::Worker { index } if index < workers => {
+                Ok(self.topo.worker_ranks()[index])
             }
+            RoleAssignment::Server { machine } if machine < machines => {
+                Ok(self.topo.server_rank(machine))
+            }
+            _ => Err(CoreError::Config(format!(
+                "{role:?} is outside the {machines}-machine, {workers}-worker cluster"
+            ))),
         }
-        // Runtime half of the protocol checker: debug builds (and any
-        // run with `validate_protocol`) assert every routed message
-        // against the session machine derived from the verified plan.
-        // The validator is stateless, so fault-injected duplicates and
-        // recovery replays are never false positives.
-        if cfg!(debug_assertions) || self.config.validate_protocol {
+    }
+
+    /// Arms every endpoint of an attempt with the receive deadline and,
+    /// in debug builds or under `validate_protocol`, the runtime half of
+    /// the protocol checker: a validator that asserts every routed
+    /// message against the session machine derived from the verified
+    /// plan. The validator is stateless, so fault-injected duplicates and
+    /// recovery replays are never false positives.
+    pub fn configure_endpoints(&self, endpoints: &mut [Endpoint]) -> Result<()> {
+        let validator = if cfg!(debug_assertions) || self.config.validate_protocol {
             let spec = crate::protocheck::derive_session(
                 &self.graph,
                 &self.config,
                 &self.topo,
                 &self.plan,
             )?;
-            let validator = parallax_comm::protocheck::SessionValidator::from_spec(&spec);
-            for ep in endpoints.iter_mut() {
-                ep.set_validator(Arc::clone(&validator));
+            Some(SessionValidator::from_spec(&spec))
+        } else {
+            None
+        };
+        for ep in endpoints {
+            if let Some(d) = self.config.recv_deadline {
+                ep.set_recv_deadline(d);
+            }
+            if let Some(v) = &validator {
+                ep.set_validator(Arc::clone(v));
             }
         }
-        let mut by_rank: Vec<Option<Endpoint>> = endpoints.drain(..).map(Some).collect();
-
-        let workers = self.topo.num_workers();
-        let losses: Mutex<Vec<Vec<f32>>> = Mutex::new(vec![Vec::new(); workers]);
-        let compute_secs: Mutex<Vec<f64>> = Mutex::new(vec![0.0; workers]);
-        let shard_values: Mutex<Vec<((VarId, usize), Tensor)>> = Mutex::new(Vec::new());
-        let chief_store: Mutex<Option<VarStore>> = Mutex::new(None);
-        let chief_norms: Mutex<Vec<f32>> = Mutex::new(Vec::new());
-        let failures: Mutex<Vec<String>> = Mutex::new(Vec::new());
-
-        std::thread::scope(|scope| {
-            if needs_servers {
-                for m in 0..self.topo.num_machines() {
-                    let endpoint = by_rank[self.topo.server_rank(m)]
-                        .take()
-                        .expect("server endpoint");
-                    let shard_values = &shard_values;
-                    let failures = &failures;
-                    let runner = &*self;
-                    let feed_fn = &feed_fn;
-                    scope.spawn(move || {
-                        match runner.run_role(
-                            RoleAssignment::Server { machine: m },
-                            endpoint,
-                            iterations,
-                            start_iter,
-                            restore,
-                            injector,
-                            feed_fn,
-                        ) {
-                            Ok(RoleOutput::Server { shards }) => shard_values.lock().extend(shards),
-                            Ok(RoleOutput::Worker { .. }) => {
-                                failures
-                                    .lock()
-                                    .push(format!("server {m}: role returned worker output"));
-                            }
-                            Err(e) => {
-                                // Surface immediately: peers block on a dead
-                                // server, so the collected error would
-                                // otherwise never be seen.
-                                let msg = match e {
-                                    CoreError::Worker(msg) => msg,
-                                    other => format!("server {m}: {other}"),
-                                };
-                                eprintln!("parallax: {msg}");
-                                failures.lock().push(msg)
-                            }
-                        }
-                    });
-                }
-            }
-
-            for (widx, &rank) in self.topo.worker_ranks().iter().enumerate() {
-                let endpoint = by_rank[rank].take().expect("worker endpoint");
-                let losses = &losses;
-                let compute_secs = &compute_secs;
-                let chief_store = &chief_store;
-                let chief_norms = &chief_norms;
-                let failures = &failures;
-                let feed_fn = &feed_fn;
-                let runner = &*self;
-                scope.spawn(move || {
-                    match runner.run_role(
-                        RoleAssignment::Worker { index: widx },
-                        endpoint,
-                        iterations,
-                        start_iter,
-                        restore,
-                        injector,
-                        feed_fn,
-                    ) {
-                        Ok(RoleOutput::Worker {
-                            losses: my_losses,
-                            norms,
-                            compute_secs: my_compute,
-                            store,
-                        }) => {
-                            losses.lock()[widx] = my_losses;
-                            compute_secs.lock()[widx] = my_compute;
-                            if rank == runner.topo.chief() {
-                                *chief_store.lock() = Some(store);
-                                *chief_norms.lock() = norms;
-                            }
-                        }
-                        Ok(RoleOutput::Server { .. }) => {
-                            failures
-                                .lock()
-                                .push(format!("worker {widx}: role returned server output"));
-                        }
-                        Err(e) => {
-                            eprintln!("parallax: worker {widx} failed: {e}");
-                            failures.lock().push(format!("worker {widx}: {e}"))
-                        }
-                    }
-                });
-            }
-        });
-
-        // Merge this attempt's ledger into the running total *before*
-        // checking for failures: even a doomed attempt's bytes were
-        // physically sent and mirrored into the trace ledger.
-        traffic_total.merge_from(&TrafficReport {
-            nccl: traffic.class_snapshot(TrafficClass::Nccl),
-            mpi: traffic.class_snapshot(TrafficClass::Mpi),
-            ps: traffic.class_snapshot(TrafficClass::Ps),
-            local_agg: traffic.class_snapshot(TrafficClass::LocalAgg),
-            other: traffic.class_snapshot(TrafficClass::Default),
-        });
-
-        let failures = failures.into_inner();
-        if let Some(first) = failures.into_iter().next() {
-            return Err(CoreError::Worker(first));
-        }
-
-        // Mean loss per executed iteration across workers.
-        let attempt_iters = iterations - start_iter;
-        let mean_losses = mean_worker_losses(&losses.into_inner());
-
-        // Final model: AR variables from the chief replica, PS variables
-        // stitched from server shards.
-        let chief = chief_store
-            .into_inner()
-            .ok_or_else(|| CoreError::Worker("chief produced no model".into()))?;
-        let final_model = self.stitch_final_model(&chief, shard_values.into_inner())?;
-
-        let compute = compute_secs.into_inner();
-        let host_compute_per_iter =
-            compute.iter().copied().fold(0.0, f64::max) / attempt_iters.max(1) as f64;
-
-        Ok(RunReport {
-            losses: mean_losses,
-            grad_norms: chief_norms.into_inner(),
-            // The caller (`run`) substitutes the cross-attempt total.
-            traffic: TrafficReport::default(),
-            iterations,
-            host_compute_per_iter,
-            final_model,
-            wall_seconds: started.elapsed().as_secs_f64(),
-        })
+        Ok(())
     }
 
     /// The configuration in force (what `get_runner` validated).
@@ -782,9 +616,9 @@ impl Runner {
     }
 
     /// The server configuration every shard host derives for this run.
-    /// Shared by the in-process attempt and `repro dist` server
-    /// processes so the synchronization barrier (which folds the
-    /// checkpoint-boundary fetch count) is identical in both modes.
+    /// Shared by server threads and `repro dist` server processes so the
+    /// synchronization barrier (which folds the checkpoint-boundary fetch
+    /// count) is identical in both modes.
     fn server_config(&self, iterations: usize, start_iter: usize) -> ServerConfig {
         ServerConfig {
             iterations,
@@ -802,9 +636,9 @@ impl Runner {
     }
 
     /// Executes exactly one role of this job over the given endpoint —
-    /// the unit both execution modes are built from. The in-process
-    /// runner calls this once per thread of an attempt; `repro dist`
-    /// calls it once per OS process with an endpoint over a
+    /// the unit both execution modes are built from. The thread fleet
+    /// calls this once per thread of an attempt; `repro dist` calls it
+    /// once per OS process with an endpoint over a
     /// [`parallax_comm::Transport`] that crosses machines. Everything
     /// role-specific (replica loop, server shard hosting, restore,
     /// fault hooks, chief-only artifact publishing) lives below this
@@ -823,14 +657,9 @@ impl Runner {
     where
         F: Fn(usize, usize) -> Feed + Send + Sync,
     {
+        let rank = self.rank_of(role)?;
         match role {
             RoleAssignment::Server { machine: m } => {
-                if m >= self.topo.num_machines() {
-                    return Err(CoreError::Config(format!(
-                        "server role names machine {m} but the cluster has {}",
-                        self.topo.num_machines()
-                    )));
-                }
                 let mut server = Server::new(
                     &self.graph,
                     &self.plan.plan,
@@ -864,45 +693,17 @@ impl Runner {
                     .map_err(|e| CoreError::Worker(format!("server {m}: {e}")))?;
                 Ok(RoleOutput::Server { shards })
             }
-            RoleAssignment::Worker { index } => {
-                let worker_ranks = self.topo.worker_ranks();
-                let &rank = worker_ranks.get(index).ok_or_else(|| {
-                    CoreError::Config(format!(
-                        "worker role names index {index} but the cluster has {} workers",
-                        worker_ranks.len()
-                    ))
-                })?;
-                let ar_vars = self.plan.ar_vars();
-                let ps_vars = self.plan.ps_vars();
-                let gatherv_vars = self.plan.gatherv_vars();
-                let (losses, norms, compute_secs, store) = self.worker_loop(
-                    endpoint,
-                    rank,
-                    index,
-                    iterations,
-                    start_iter,
-                    restore,
-                    injector,
-                    feed_fn,
-                    &ar_vars,
-                    &ps_vars,
-                    &gatherv_vars,
-                )?;
-                Ok(RoleOutput::Worker {
-                    losses,
-                    norms,
-                    compute_secs,
-                    store,
-                })
-            }
+            RoleAssignment::Worker { index } => self.worker_loop(
+                endpoint, rank, index, iterations, start_iter, restore, injector, feed_fn,
+            ),
         }
     }
 
     /// Assembles the final model from a chief replica and the collected
     /// server shards: AR variables from the chief (replicas are
-    /// identical), PS variables stitched per-partition. Shared by
-    /// `run_attempt` and the `repro dist` artifact merge so a socket
-    /// run's final model is bitwise the in-process one by construction.
+    /// identical), PS variables stitched per-partition. The supervisor's
+    /// fold uses it for every fleet, so a socket run's final model is
+    /// bitwise the in-process one by construction.
     pub fn stitch_final_model(
         &self,
         chief: &VarStore,
@@ -1026,13 +827,12 @@ impl Runner {
         restore: Option<&RestorePoint>,
         injector: &FaultInjector,
         feed_fn: &F,
-        ar_vars: &[VarId],
-        ps_vars: &[VarId],
-        gatherv_vars: &[VarId],
-    ) -> Result<(Vec<f32>, Vec<f32>, f64, VarStore)>
+    ) -> Result<RoleOutput>
     where
         F: Fn(usize, usize) -> Feed + Send + Sync,
     {
+        let (ar_vars, ps_vars) = (self.plan.ar_vars(), self.plan.ps_vars());
+        let gatherv_vars = self.plan.gatherv_vars();
         let workers = self.topo.num_workers();
         let worker_ranks = self.topo.worker_ranks();
         // Machine of each worker position, for the machine-blocked
@@ -1065,7 +865,7 @@ impl Runner {
         // state — otherwise Momentum/Adagrad would resume from zeroed
         // slots and diverge from the uninterrupted run.
         if let (Some(rp), Some(kind)) = (restore, optimizer.state_name()) {
-            for &var in ar_vars {
+            for &var in &ar_vars {
                 let key = (self.graph.var_def(var)?.name.clone(), kind.to_string());
                 if let Some(t) = rp.slots.get(&key) {
                     optimizer.import_slot(var.index() as u64, t.clone());
@@ -1159,7 +959,7 @@ impl Runner {
             // AR and PS variables are disjoint, so the AR gradients can
             // be moved out of `grads`.
             let mut ar_grads: Vec<(VarId, Grad)> = Vec::with_capacity(ar_vars.len());
-            for &var in ar_vars {
+            for &var in &ar_vars {
                 let Some(grad) = grads.remove(&var) else {
                     continue;
                 };
@@ -1252,7 +1052,7 @@ impl Runner {
             }
 
             // Parameter Server path.
-            for &var in ps_vars {
+            for &var in &ps_vars {
                 let grad = grads.get(&var).ok_or_else(|| {
                     let name = self
                         .graph
@@ -1279,12 +1079,12 @@ impl Runner {
                 }
             }
             if sync && self.config.chief_triggers_update && is_global_chief {
-                for &var in ps_vars {
+                for &var in &ps_vars {
                     client.chief_update(endpoint, var).map_err(CoreError::Ps)?;
                 }
             }
             if sync {
-                for &var in ps_vars {
+                for &var in &ps_vars {
                     client
                         .await_update_done(endpoint, var)
                         .map_err(CoreError::Ps)?;
@@ -1294,7 +1094,7 @@ impl Runner {
             // the servers saved at update time (Section 5's mechanism for
             // global-norm clipping / status tracing).
             if self.config.trace_gradients {
-                for &var in ps_vars {
+                for &var in &ps_vars {
                     for grad in client
                         .read_aggregates(endpoint, var)
                         .map_err(CoreError::Ps)?
@@ -1313,7 +1113,12 @@ impl Runner {
                 self.publish_artifacts(endpoint, client, local, optimizer.as_ref(), iter)?;
             }
         }
-        Ok((losses, norms, compute_secs, ctx.local))
+        Ok(RoleOutput::Worker {
+            losses,
+            norms,
+            compute_secs,
+            store: ctx.local,
+        })
     }
 }
 

@@ -4,8 +4,8 @@
 //! wall-clock deadline, and guarantees no orphans: the first failure
 //! (or the deadline) kills every survivor. Respawn policy — recovery
 //! from a checkpoint after a killed worker — lives in the caller
-//! (`repro dist`'s launcher mode); this module only runs one
-//! *generation* of processes.
+//! (`parallax_core`'s recovery supervisor, driving `repro dist`'s
+//! process fleet); this module only runs one *generation* of processes.
 
 use std::io;
 use std::net::TcpListener;

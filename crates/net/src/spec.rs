@@ -127,7 +127,8 @@ pub struct ClusterSpec {
     /// set).
     pub checkpoint_interval: usize,
     /// How many failed process generations the launcher may respawn
-    /// (recovery requires `checkpoint`).
+    /// (recovery requires `checkpoint`; a stale checkpoint and
+    /// fired-fault log in `artifact_dir` are removed at launch).
     pub max_recoveries: usize,
     /// Install the runtime session validator in release builds too.
     pub validate_protocol: bool,

@@ -4,9 +4,10 @@
 //! injected fault and then recovers from the latest checkpoint produces
 //! **bitwise-identical** final variables to an uninterrupted run of the
 //! same config — asserted here for worker kills at two different kill
-//! points, a server kill, a kill before any checkpoint exists, and a
-//! dropped PS message. A companion test keeps the trace byte crosscheck
-//! exact under fault injection.
+//! points, a server kill, a kill before any checkpoint exists (also with
+//! a stale checkpoint from another run at the path), and a dropped PS
+//! message. Companion tests keep the trace byte crosscheck exact under
+//! fault injection and the gradient-norm series aligned with the losses.
 //!
 //! Every test serializes on one mutex: the tracer is process-global,
 //! and even the untraced tests must not run concurrently with the
@@ -91,10 +92,14 @@ fn cleanup(config: &ParallaxConfig) {
 
 /// The reference: same config shape (checkpointing on, no faults).
 fn reference() -> VarStore {
+    reference_run().1
+}
+
+fn reference_run() -> (RunReport, VarStore) {
     let config = faulted_config("reference", FaultPlan::new());
-    let (_, store) = run_lm(config.clone());
+    let run = run_lm(config.clone());
     cleanup(&config);
-    store
+    run
 }
 
 #[test]
@@ -154,6 +159,55 @@ fn kill_before_first_checkpoint_restarts_from_initial_state() {
     let (_, store) = run_lm(config.clone());
     cleanup(&config);
     assert_eq!(expected.max_divergence(&store), 0.0);
+}
+
+#[test]
+fn stale_checkpoint_from_another_run_is_not_a_resume_point() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (expected_report, expected) = reference_run();
+    // A finished seed-999 run leaves its step-6 checkpoint at the path.
+    let config = faulted_config("stale", FaultPlan::new().kill_worker(3, 0));
+    run_lm(ParallaxConfig {
+        seed: 999,
+        fault_plan: FaultPlan::new(),
+        ..config.clone()
+    });
+    // This run dies at step 0, before it publishes a checkpoint of its
+    // own, so it must restart from step 0, not resume the other run.
+    let (report, store) = run_lm(config.clone());
+    cleanup(&config);
+    assert_eq!(report.attempts, 2);
+    assert_eq!(expected.max_divergence(&store), 0.0);
+    assert!(report.losses.iter().all(|l| l.is_finite()));
+    let bits = |r: &RunReport| r.losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&report), bits(&expected_report));
+}
+
+#[test]
+fn grad_norms_stay_aligned_with_losses_after_recovery() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let traced = |tag: &str, plan: FaultPlan| ParallaxConfig {
+        trace_gradients: true,
+        ..faulted_config(tag, plan)
+    };
+    let clean = traced("norms_ref", FaultPlan::new());
+    let (reference, _) = run_lm(clean.clone());
+    cleanup(&clean);
+    // Killed at step 3, recovered from the step-2 checkpoint.
+    let faulted = traced("norms_kill", FaultPlan::new().kill_worker(1, 3));
+    let (report, _) = run_lm(faulted.clone());
+    cleanup(&faulted);
+    assert_eq!(reference.grad_norms.len(), ITERS);
+    assert_eq!(report.grad_norms.len(), ITERS);
+    assert_eq!(report.losses.len(), ITERS);
+    let resume = CKPT_INTERVAL;
+    for i in resume..ITERS {
+        assert_eq!(
+            report.grad_norms[i].to_bits(),
+            reference.grad_norms[i].to_bits(),
+            "grad norm of iteration {i}"
+        );
+    }
 }
 
 #[test]

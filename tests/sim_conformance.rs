@@ -33,9 +33,10 @@ fn tracer_lock() -> MutexGuard<'static, ()> {
     TRACER.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Iterations per traced run: enough for the best-of skew measurement
-/// to find an uncrowded iteration for most machines.
-const ITERS: usize = 4;
+/// Iterations per traced run: the 9 `repro straggler` uses, so the
+/// best-of skew measurement finds an uncrowded iteration for every
+/// machine (at 4 the factor-3 ratio read low in 2 of 40 runs).
+const ITERS: usize = 9;
 /// The slowdown matrix every preset is checked against.
 const FACTORS: [f64; 3] = [1.0, 2.0, 3.0];
 
@@ -141,13 +142,18 @@ fn three_machine_topology_conforms() {
                 return Err(format!(
                     "3-machine factor {factor}: prediction outside bands \
                      (ratio {:.3} vs {:.3}, wait {:.6}s vs {:.6}s, \
-                     p99 {:.6}s vs {:.6}s)",
+                     p99 {:.6}s vs {:.6}s, exchange {:.6}s vs {:.6}s, \
+                     apply {:.6}s vs {:.6}s)",
                     case.predicted_ratio,
                     case.measured_ratio,
                     case.predicted_wait_s,
                     case.measured_wait_s,
                     case.predicted_p99_s,
                     case.measured_p99_s,
+                    case.predicted_exchange_s,
+                    case.measured_exchange_s,
+                    case.predicted_apply_s,
+                    case.measured_apply_s,
                 ));
             }
         }
